@@ -1,13 +1,13 @@
 //! The replay-equivalence world generator: `REPLAY_WORLDS` deterministic
 //! marketplace worlds (heterogeneous sellers, plain sessions, immediate
 //! and epoch-mode demands, a clearing window) that are pure functions of
-//! the world index, so a recovery spec — or a second executor backend —
-//! can rebuild byte-identical strategies from the same index.
+//! the world index, so a recovery spec can rebuild byte-identical
+//! strategies from the same index.
 //!
-//! Hoisted out of `tests/replay_equivalence.rs` so the replay,
-//! backend-equivalence, and telemetry tiers share one apparatus instead
-//! of drifting: `build_world` constructs a journaled world,
-//! [`snapshot`]/[`snapshot_with`] drain it and capture the reference
+//! Hoisted out of `tests/replay_equivalence.rs` so the replay and
+//! checkpoint tiers (and the exchange smoke test) share one apparatus
+//! instead of drifting: `build_world` constructs a journaled world,
+//! [`snapshot`] drains it and captures the reference
 //! (outcomes, demand reports, epoch ledger, trained-course set), and
 //! [`check_equivalence`] proves a journal prefix recovers bit-identically
 //! to that reference with zero re-trained courses.
@@ -315,17 +315,10 @@ pub struct Reference {
     pub trained: HashSet<(u64, u64)>,
 }
 
-/// [`snapshot_with`] under the default two-worker thread-pool drain.
+/// Drains `world.exchange` on two workers and snapshots every outcome,
+/// report, and the cleared-epoch history.
 pub fn snapshot(world: &World) -> Reference {
-    snapshot_with(world, |exchange| {
-        exchange.drain(2);
-    })
-}
-
-/// Drains `world.exchange` through `drain` (any backend/worker shape)
-/// and snapshots every outcome, report, and the cleared-epoch history.
-pub fn snapshot_with(world: &World, drain: impl FnOnce(&Exchange)) -> Reference {
-    drain(&world.exchange);
+    world.exchange.drain(2);
     let mut reports = HashMap::new();
     let mut sids: Vec<SessionId> = world.plain_map.keys().copied().collect();
     for &did in world.demand_map.keys() {

@@ -9,22 +9,25 @@
 //! machinery must be invisible to the negotiation), over ≥ 100 random
 //! market shapes; and (2) a losing candidate never trains a model after
 //! settlement (counted at the gain provider, the only place training can
-//! happen).
+//! happen). A fault-containment test closes the suite: a course whose
+//! training fails ends only the session that paid for it.
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use vfl_bench::exchange_setup::{
     register_cell, seller_cell, strategic_demand, strategic_order, CountingGainProvider,
     TrainingRecorder,
 };
+use vfl_bench::worlds::{plain_market_spec, plain_order};
 use vfl_bench::{BaseModelKind, PreparedMarket, RunProfile};
 use vfl_exchange::{
     BestResponse, Demand, DemandStatus, Exchange, ExchangeConfig, MarketSpec, QuoteState,
     SellerSpec, SessionStatus, SettleMode,
 };
 use vfl_market::{
-    run_bargaining, FailureReason, Listing, MarketConfig, OutcomeStatus, RandomBundleData,
-    ReservedPrice, StrategicData, StrategicTask, TableGainProvider,
+    run_bargaining, FailureReason, GainProvider, Listing, MarketConfig, MarketError, OutcomeStatus,
+    RandomBundleData, ReservedPrice, StrategicData, StrategicTask, TableGainProvider,
 };
 use vfl_sim::BundleMask;
 use vfl_tabular::DatasetId;
@@ -337,6 +340,120 @@ fn losing_session_never_trains_a_model_after_settlement() {
         "the probe round rides along for audit"
     );
     assert_eq!(exchange.metrics().sessions_cancelled, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Fault containment: a failed course ends only the session that paid it
+// ---------------------------------------------------------------------------
+
+/// How long the failing course runs before it errors: long enough for
+/// rivals to park behind its claim.
+const FAILING_COURSE: std::time::Duration = std::time::Duration::from_millis(100);
+
+/// A provider whose first `gain` call fails after [`FAILING_COURSE`];
+/// every later call delegates. The failed call never reaches `inner`, so
+/// a recorder behind it counts only real trainings.
+struct FailsFirstCall {
+    inner: Arc<dyn GainProvider + Send + Sync>,
+    failed: AtomicBool,
+}
+
+impl GainProvider for FailsFirstCall {
+    fn gain(&self, bundle: BundleMask) -> vfl_market::Result<f64> {
+        if !self.failed.swap(true, Ordering::SeqCst) {
+            std::thread::sleep(FAILING_COURSE);
+            return Err(MarketError::Gain("injected course failure".into()));
+        }
+        self.inner.gain(bundle)
+    }
+}
+
+/// A failed course fails exactly the paying session; every rival parked
+/// on the course waitlist is woken, retries the claim, and closes like a
+/// clean run (one of them becoming the new payer). No session is
+/// stranded, and no course is trained twice.
+#[test]
+fn a_failed_course_fails_only_the_paying_session() {
+    const SESSIONS: usize = 4;
+    let run = |inject_failure: bool| {
+        let recorder = TrainingRecorder::default();
+        let exchange = Exchange::new(ExchangeConfig::default());
+        let mut spec = plain_market_spec(0, &recorder);
+        if inject_failure {
+            spec.provider = Arc::new(FailsFirstCall {
+                inner: spec.provider,
+                failed: AtomicBool::new(false),
+            });
+        }
+        let market = exchange.register_market(spec).expect("register market");
+        // Identical orders (same seed): every clean outcome is identical,
+        // so the failed payer's rivals can be checked against any of them.
+        let sids: Vec<_> = (0..SESSIONS)
+            .map(|_| exchange.submit(market, plain_order(0, 0)).expect("submit"))
+            .collect();
+        let report = exchange.drain(2);
+        let waits = exchange.metrics().course_waits;
+        let outcomes: Vec<_> = sids
+            .iter()
+            .map(|&sid| {
+                exchange
+                    .take(sid)
+                    .expect("terminal after drain")
+                    .map(|b| *b)
+                    .map_err(|e| e.to_string())
+            })
+            .collect();
+        (report, outcomes, recorder, waits)
+    };
+
+    let (clean_report, clean_outcomes, clean_recorder, _) = run(false);
+    assert_eq!(clean_report.failed, 0);
+    let clean_outcome = clean_outcomes[0].clone();
+    for outcome in &clean_outcomes {
+        assert_eq!(
+            outcome, &clean_outcome,
+            "identical orders close identically"
+        );
+    }
+
+    let (report, outcomes, recorder, waits) = run(true);
+    assert!(
+        waits >= 1,
+        "with a 100 ms failing course and 2 workers, a rival must have parked"
+    );
+    assert_eq!(report.failed, 1, "exactly the paying session fails");
+    assert_eq!(
+        report.closed + report.failed,
+        SESSIONS,
+        "no session stranded"
+    );
+    let (failed, closed): (Vec<_>, Vec<_>) = outcomes.iter().partition(|o| o.is_err());
+    assert_eq!(failed.len(), 1);
+    assert!(
+        failed[0]
+            .as_ref()
+            .unwrap_err()
+            .contains("injected course failure"),
+        "the payer carries the provider's error: {failed:?}"
+    );
+    for outcome in closed {
+        assert_eq!(
+            outcome, &clean_outcome,
+            "woken rivals close exactly like a clean run"
+        );
+    }
+    // The failed claim released the key: a rival re-claimed and trained
+    // each course exactly once (no double-training, no retrain).
+    assert_eq!(
+        recorder.count(),
+        recorder.set().len(),
+        "every course trained at most once"
+    );
+    assert_eq!(
+        recorder.set(),
+        clean_recorder.set(),
+        "the retry pays exactly the clean run's courses"
+    );
 }
 
 // ---------------------------------------------------------------------------

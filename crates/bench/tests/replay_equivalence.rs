@@ -23,7 +23,7 @@
 //!   the crashed run's own in-memory conclusion.
 //!
 //! The world generator and the equivalence checker live in
-//! `vfl_bench::worlds`, shared with the backend-equivalence tier.
+//! `vfl_bench::worlds`, shared with the checkpoint tier.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -40,10 +40,11 @@ pub struct MarketConfig {
     pub data_cost: CostModel,
     /// Base seed for all strategy randomness in one run.
     pub seed: u64,
-    /// Bounded-channel capacity (messages per direction) of the distributed
-    /// engine ([`crate::distributed`]). The protocol is strictly
-    /// turn-based, so 1 suffices for correctness; larger capacities only
-    /// loosen backpressure (see the module doc there). Must be >= 1.
+    /// Bounded-channel capacity (messages per direction) for a driver that
+    /// runs the two parties over wire channels. No in-tree driver reads
+    /// it; it stays because [`crate::session::wire::config_digest`] folds
+    /// it in and journaled submissions record that digest, so removing it
+    /// would change every recorded digest. Must be >= 1.
     pub channel_capacity: usize,
 }
 

@@ -26,7 +26,6 @@
 pub mod audit;
 pub mod config;
 pub mod cost;
-pub mod distributed;
 pub mod engine;
 pub mod equilibrium;
 pub mod error;
@@ -41,7 +40,6 @@ pub mod termination;
 pub use audit::{AuditReport, AuditViolation, Auditor, UnderreportingProvider};
 pub use config::MarketConfig;
 pub use cost::CostModel;
-pub use distributed::run_bargaining_distributed;
 pub use engine::{run_bargaining, ClosedBy, FailureReason, Outcome, OutcomeStatus, RoundRecord};
 pub use error::{MarketError, Result};
 pub use gain::{GainProvider, TableGainProvider};

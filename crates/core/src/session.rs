@@ -4,11 +4,10 @@
 //! waiting for the realized ΔG of a VFL course (Step 3) — and resumed by
 //! feeding the matching [`SessionEvent`].
 //!
-//! [`crate::engine::run_bargaining`] and
-//! [`crate::distributed::run_bargaining_distributed`] are thin drivers over
-//! this machine (one in-process, one over wire channels), and the
-//! `vfl-exchange` marketplace runtime drives thousands of these sessions
-//! interleaved, parking each one while its course result is pending.
+//! [`crate::engine::run_bargaining`] is a thin in-process driver over this
+//! machine, and the `vfl-exchange` marketplace runtime drives thousands of
+//! these sessions interleaved, parking each one while its course result is
+//! pending.
 //!
 //! ## Termination-case map (§3.4.2 / §3.5.2)
 //!
@@ -52,7 +51,7 @@ use vfl_sim::protocol::{GainReportMsg, Message, OfferMsg, QuoteMsg, SettleMsg, T
 use vfl_sim::BundleMask;
 
 /// RNG salt of the in-process engine ([`crate::engine::run_bargaining`]).
-pub(crate) const LOCAL_RNG_SALT: u64 = 0xba5_9a1_4e5;
+const LOCAL_RNG_SALT: u64 = 0xba5_9a1_4e5;
 
 /// An input that resumes a suspended session.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,8 +118,8 @@ pub enum SessionPhase {
 /// A resumable negotiation. Owns the protocol bookkeeping (round counter,
 /// transcript, per-round records, the engine RNG) but *not* the strategies
 /// or the listing table — those are passed into [`Self::step`] by the
-/// driver, so the same machine serves borrowed in-process strategies, the
-/// task side of the distributed engine, and boxed exchange sessions.
+/// driver, so the same machine serves borrowed in-process strategies and
+/// boxed exchange sessions.
 #[derive(Debug)]
 pub struct NegotiationSession {
     cfg: MarketConfig,
@@ -144,17 +143,10 @@ impl NegotiationSession {
     /// A session with the in-process engine's RNG stream: step-driving it
     /// is bit-identical to [`crate::engine::run_bargaining`].
     pub fn new(cfg: MarketConfig) -> Result<Self> {
-        let salt = cfg.seed ^ LOCAL_RNG_SALT;
-        Self::with_rng_seed(cfg, salt)
-    }
-
-    /// A session whose RNG is seeded explicitly (the distributed engine
-    /// derives per-party streams; see [`crate::distributed`]).
-    pub fn with_rng_seed(cfg: MarketConfig, rng_seed: u64) -> Result<Self> {
         cfg.validate()?;
         Ok(NegotiationSession {
+            rng: StdRng::seed_from_u64(cfg.seed ^ LOCAL_RNG_SALT),
             cfg,
-            rng: StdRng::seed_from_u64(rng_seed),
             transcript: Transcript::default(),
             rounds: Vec::new(),
             quote: None,

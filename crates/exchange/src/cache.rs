@@ -55,24 +55,6 @@ pub enum CourseServe {
     Busy,
 }
 
-/// Outcome of [`SharedGainCache::serve_softly`] — the split-phase serve
-/// protocol both executor backends are built on. `Claimed` hands the
-/// caller the training claim *without* running the course: the thread
-/// backend trains inline and settles the claim immediately, the async
-/// backend suspends the session and settles the claim when the course
-/// future resolves. Every claim must be settled with exactly one
-/// [`SharedGainCache::complete`] (success) or [`SharedGainCache::abort`]
-/// (failure) — a leaked claim parks that key's waiters forever.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum SoftServe {
-    /// Served from cache (hit counted, exactly like [`CourseServe::Hit`]).
-    Hit(f64),
-    /// The caller now owns the in-flight training claim for this key.
-    Claimed,
-    /// Another caller holds the claim — park on the waitlist.
-    Busy,
-}
-
 impl SharedGainCache {
     /// A cache with `n_shards` independent locks (clamped to >= 1).
     pub fn new(n_shards: usize) -> Self {
@@ -141,42 +123,24 @@ impl SharedGainCache {
     /// (others get [`CourseServe::Busy`] and should park their session —
     /// the landed result turns their woken retry into a hit). This keeps N
     /// workers racing on one cold bundle from paying N trainings.
+    ///
+    /// A successful training counts the miss, inserts the result, and then
+    /// releases the claim — in that order, so a woken waiter that re-probes
+    /// after the release always finds the value. A failed training inserts
+    /// nothing, counts no miss, and releases the claim; the next caller
+    /// inherits a fresh claim and retries.
     pub fn serve(
         &self,
         eval_key: u64,
         bundle: BundleMask,
         provider: &dyn GainProvider,
     ) -> Result<CourseServe> {
-        match self.serve_softly(eval_key, bundle) {
-            SoftServe::Hit(g) => Ok(CourseServe::Hit(g)),
-            SoftServe::Busy => Ok(CourseServe::Busy),
-            SoftServe::Claimed => match provider.gain(bundle) {
-                Ok(g) => {
-                    self.complete(eval_key, bundle, g);
-                    Ok(CourseServe::Computed(g))
-                }
-                Err(e) => {
-                    self.abort(eval_key, bundle);
-                    Err(e)
-                }
-            },
-        }
-    }
-
-    /// The claim phase of [`Self::serve`], without the course: a hit
-    /// returns immediately, a cold key hands the caller the in-flight
-    /// claim ([`SoftServe::Claimed`]), a contended key returns
-    /// [`SoftServe::Busy`]. The claim holder trains however it likes —
-    /// inline on the calling thread (thread-pool backend) or on a course
-    /// task while the session is suspended (async backend) — and MUST
-    /// settle the claim with [`Self::complete`] or [`Self::abort`].
-    pub(crate) fn serve_softly(&self, eval_key: u64, bundle: BundleMask) -> SoftServe {
         if let Some(g) = self.lookup(eval_key, bundle) {
-            return SoftServe::Hit(g);
+            return Ok(CourseServe::Hit(g));
         }
         let key = (eval_key, bundle.0);
         if !self.in_flight.lock().insert(key) {
-            return SoftServe::Busy;
+            return Ok(CourseServe::Busy);
         }
         // The miss above and the claim are not atomic: a trainer that ran
         // entirely in between (inserted its result, released its claim)
@@ -185,28 +149,11 @@ impl SharedGainCache {
         // — and journaled — twice.
         if let Some(g) = self.lookup(eval_key, bundle) {
             self.in_flight.lock().remove(&key);
-            return SoftServe::Hit(g);
+            return Ok(CourseServe::Hit(g));
         }
-        SoftServe::Claimed
-    }
-
-    /// Lands a successful training under a [`SoftServe::Claimed`] claim:
-    /// counts the miss, inserts the result, and releases the claim — in
-    /// that order, so a woken waiter that re-probes after the release
-    /// always finds the value.
-    pub(crate) fn complete(&self, eval_key: u64, bundle: BundleMask, gain: f64) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let key = (eval_key, bundle.0);
-        self.shard(key).lock().insert(key, gain);
+        let result = self.compute(eval_key, bundle, provider);
         self.in_flight.lock().remove(&key);
-    }
-
-    /// Releases a [`SoftServe::Claimed`] claim after a failed training.
-    /// Nothing is inserted and no miss is counted (mirroring
-    /// [`Self::compute`], which counts only successful trainings); the
-    /// next caller inherits a fresh claim and retries.
-    pub(crate) fn abort(&self, eval_key: u64, bundle: BundleMask) {
-        self.in_flight.lock().remove(&(eval_key, bundle.0));
+        result.map(CourseServe::Computed)
     }
 
     /// ΔG for `bundle` under `eval_key`: [`Self::lookup`] or, on a miss,
@@ -333,6 +280,7 @@ mod tests {
         // for a result would miss it.
         assert!(!cache.is_training(3, unknown));
         assert!(cache.peek(3, unknown).is_none());
+        assert_eq!(cache.misses(), 0, "a failed training counts no miss");
         // The claim must not leak: a provider that recovers can compute.
         let mut fixed = p.clone();
         fixed.insert(unknown, 0.5);
@@ -343,34 +291,59 @@ mod tests {
     }
 
     #[test]
-    fn serve_softly_claim_protocol_round_trips() {
-        let cache = SharedGainCache::new(4);
-        let b = BundleMask::singleton(0);
-        // Cold key: the first caller claims, contenders see Busy.
-        assert_eq!(cache.serve_softly(5, b), SoftServe::Claimed);
-        assert!(cache.is_training(5, b));
-        assert_eq!(cache.serve_softly(5, b), SoftServe::Busy);
-        // Completion lands the value, releases the claim, counts the miss.
-        cache.complete(5, b, 0.7);
-        assert!(!cache.is_training(5, b));
-        assert_eq!(cache.serve_softly(5, b), SoftServe::Hit(0.7));
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
-    }
-
-    #[test]
     fn abort_releases_the_claim_without_counting_a_miss() {
         let cache = SharedGainCache::new(4);
         let b = BundleMask::singleton(2);
-        assert_eq!(cache.serve_softly(6, b), SoftServe::Claimed);
-        cache.abort(6, b);
+        let failing = TableGainProvider::new([]);
+        // A failed training aborts its claim: nothing lands, no miss counts.
+        assert!(cache.serve(6, b, &failing).is_err());
         assert!(!cache.is_training(6, b));
         assert!(cache.peek(6, b).is_none());
         assert_eq!(cache.misses(), 0);
+        assert_eq!(cache.hits(), 0);
         // The next caller inherits a fresh claim — nothing leaked.
-        assert_eq!(cache.serve_softly(6, b), SoftServe::Claimed);
-        cache.complete(6, b, 0.3);
+        let recovered = TableGainProvider::new([(b, 0.3)]);
+        assert_eq!(
+            cache.serve(6, b, &recovered).unwrap(),
+            CourseServe::Computed(0.3)
+        );
         assert_eq!(cache.peek(6, b), Some(0.3));
+        assert_eq!(cache.misses(), 1);
+    }
+
+    #[test]
+    fn serve_reports_busy_while_a_claim_is_training() {
+        /// A provider that probes the cache from inside its own training,
+        /// i.e. while this caller holds the key's claim.
+        struct Reentrant<'a> {
+            cache: &'a SharedGainCache,
+            seen: std::cell::Cell<Option<CourseServe>>,
+        }
+        impl GainProvider for Reentrant<'_> {
+            fn gain(&self, bundle: BundleMask) -> Result<f64> {
+                assert!(self.cache.is_training(5, bundle));
+                let other = TableGainProvider::new([(bundle, 0.9)]);
+                self.seen.set(Some(self.cache.serve(5, bundle, &other)?));
+                Ok(0.7)
+            }
+        }
+        let cache = SharedGainCache::new(4);
+        let b = BundleMask::singleton(0);
+        let trainer = Reentrant {
+            cache: &cache,
+            seen: std::cell::Cell::new(None),
+        };
+        assert_eq!(
+            cache.serve(5, b, &trainer).unwrap(),
+            CourseServe::Computed(0.7)
+        );
+        // A contender during the training is told to wait, not to train.
+        assert_eq!(trainer.seen.get(), Some(CourseServe::Busy));
+        // The landed value is served, the claim is gone, one miss counted.
+        assert!(!cache.is_training(5, b));
+        assert_eq!(cache.serve(5, b, &trainer).unwrap(), CourseServe::Hit(0.7));
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), 1);
     }
 
     #[test]

@@ -22,15 +22,6 @@
 //! full ready queue simply leaves session ids parked in the dispatcher's
 //! overflow list (backpressure), never blocking anyone who holds work.
 //!
-//! That thread-pool drain is the default of two executor backends behind
-//! the same `submit`/`poll`/`drain` API: [`Exchange::set_executor`] swaps
-//! in the async backend ([`crate::executor`]), where a single router task
-//! owns dispatch and every uncached course becomes a future resolved
-//! off-slot by N course tasks. Both backends share one slice body
-//! (`run_slice_generic`) and the same journal/telemetry/cache
-//! linearization points; the backend-equivalence test tier proves them
-//! bit-identical.
-//!
 //! ## Parked sessions and drain termination
 //!
 //! Two kinds of session leave the ready/notice cycle without terminating:
@@ -74,9 +65,8 @@ use vfl_market::session::wire;
 use vfl_market::{GainProvider, Listing, MarketError, Outcome, Result, RoundRecord};
 use vfl_sim::BundleMask;
 
-use crate::cache::{SharedGainCache, SoftServe};
+use crate::cache::{CourseServe, SharedGainCache};
 use crate::clearing::{ClearingSpec, ClearingWindow, EpochRecord};
-use crate::executor::{CourseOrder, ExecutorBackend};
 use crate::journal::{
     check_market_spec, CheckpointMarket, CheckpointState, CrashHook, CrashPoint, ExchangeEvent,
     Journal, QuoteKind, RecoverError, ReplaySpec,
@@ -154,7 +144,7 @@ pub struct DrainReport {
     /// outcomes, but terminated by the platform rather than the protocol;
     /// counted locally, so concurrent drains never cross-attribute).
     pub cancelled: usize,
-    /// Worker threads used (course tasks, under the async backend).
+    /// Worker threads used.
     pub workers: usize,
     /// Wall-clock time of the drain.
     pub elapsed: Duration,
@@ -219,7 +209,7 @@ pub struct Exchange {
     markets: RwLock<Vec<MarketEntry>>,
     sellers: RwLock<Vec<SellerEntry>>,
     store: SessionStore,
-    pub(crate) cache: SharedGainCache,
+    cache: SharedGainCache,
     waitlist: CourseWaitlist,
     match_book: MatchBook,
     /// The clearing window, once [`Exchange::open_clearing`] ran (at most
@@ -234,7 +224,7 @@ pub struct Exchange {
     metrics: ExchangeMetrics,
     next_session: AtomicU64,
     /// Submitted-but-not-yet-dispatched session ids; drained by `drain`.
-    pub(crate) pending: Mutex<VecDeque<SessionId>>,
+    pending: Mutex<VecDeque<SessionId>>,
     /// Durable event journal, when the exchange was built with one
     /// ([`Exchange::with_journal`]); appends happen at the linearization
     /// points documented in [`crate::journal`].
@@ -245,7 +235,7 @@ pub struct Exchange {
     /// Telemetry sink, when attached ([`Exchange::with_telemetry`]).
     /// Strictly observe-only: written at the stage boundaries documented
     /// in [`crate::telemetry`], never read back by any exchange path.
-    pub(crate) telemetry: Option<Arc<ExchangeTelemetry>>,
+    telemetry: Option<Arc<ExchangeTelemetry>>,
     /// Admission policy consulted by [`Exchange::submit_demand`]
     /// ([`Exchange::set_admission`]); `None` admits everything. The load
     /// it sees is read from the exchange's own state (pending backlog,
@@ -257,20 +247,17 @@ pub struct Exchange {
     /// pure function of the submission sequence and replay stays
     /// bit-identical.
     admission_clock: AtomicU64,
-    /// Which executor runs [`Exchange::drain`]
-    /// ([`Exchange::set_executor`]); defaults to the thread pool.
-    executor: RwLock<ExecutorBackend>,
 }
 
 /// What one worker slice did with its session, plus how many *other*
 /// sessions the slice cancelled as a side-effect of a demand settlement it
 /// completed (attributed locally so concurrent drains never cross-count).
-pub(crate) struct Notice {
-    pub(crate) kind: NoticeKind,
-    pub(crate) cancelled: usize,
+struct Notice {
+    kind: NoticeKind,
+    cancelled: usize,
 }
 
-pub(crate) enum NoticeKind {
+enum NoticeKind {
     /// The session needs another slice (one course was served).
     Yielded(SessionId),
     /// The session left the ready cycle without terminating: it is parked
@@ -281,36 +268,6 @@ pub(crate) enum NoticeKind {
     Parked,
     /// The session reached a terminal state.
     Finished { closed: bool },
-}
-
-/// How a slice handles an uncached course, selecting the executor
-/// backend's half of the split-phase [`SharedGainCache::serve_softly`]
-/// protocol.
-pub(crate) enum SliceCourse {
-    /// Thread-pool backend: train a claimed miss inline on this thread
-    /// (the course blocks the worker slot — the pre-seam behaviour).
-    Inline,
-    /// Async backend, first dispatch: suspend the session at a claimed
-    /// miss and hand the claim back as [`SliceEnd::NeedCourse`]; the
-    /// router resolves it off-slot.
-    Defer,
-    /// Async backend, continuation: the payer's course future resolved —
-    /// re-enter the slice with the result as the first step. The dispatch
-    /// crash point and `SessionDispatched` frame are skipped (the thread
-    /// backend's trainer continues in-slice, and so do we), and the slice
-    /// starts with its course budget already spent.
-    Resume(Result<f64>),
-}
-
-/// How a generic slice ended.
-pub(crate) enum SliceEnd {
-    /// The slice ran to one of the classic notices.
-    Notice(Notice),
-    /// Defer mode only: the session suspended holding the training claim
-    /// for this order; the router owes the cache a
-    /// [`SharedGainCache::complete`]/[`SharedGainCache::abort`] and the
-    /// session a [`SliceCourse::Resume`].
-    NeedCourse(CourseOrder),
 }
 
 impl Exchange {
@@ -371,21 +328,8 @@ impl Exchange {
             telemetry,
             admission: RwLock::new(None),
             admission_clock: AtomicU64::new(0),
-            executor: RwLock::new(ExecutorBackend::ThreadPool),
             cfg,
         }
-    }
-
-    /// Selects the executor backend used by [`Exchange::drain`]. The
-    /// default [`ExecutorBackend::ThreadPool`] is the classic worker
-    /// pool; [`ExecutorBackend::Async`] routes every uncached course
-    /// through a [`crate::executor::CourseResolver`] so trainings resolve
-    /// off-slot (see [`crate::executor`]). Swapping backends changes no
-    /// observable behaviour — outcomes, settlements, epoch ledgers, and
-    /// canonical journal multisets are bit-identical (the
-    /// backend-equivalence tier proves it) — only the concurrency shape.
-    pub fn set_executor(&self, backend: ExecutorBackend) {
-        *self.executor.write() = backend;
     }
 
     /// The attached telemetry sink, if any.
@@ -414,7 +358,7 @@ impl Exchange {
     /// attached (the no-journal hot path pays one branch). With
     /// telemetry attached, the append — serialize, frame, sink write —
     /// is timed into the `journal_append` stage.
-    pub(crate) fn record_with(&self, make: impl FnOnce() -> ExchangeEvent) {
+    fn record_with(&self, make: impl FnOnce() -> ExchangeEvent) {
         if let Some(journal) = &self.journal {
             match self.telemetry.as_deref() {
                 Some(t) => {
@@ -452,7 +396,7 @@ impl Exchange {
         *self.admission.write() = policy;
     }
 
-    pub(crate) fn crash_point(&self, point: CrashPoint) {
+    fn crash_point(&self, point: CrashPoint) {
         if self.crash_armed.load(Ordering::Relaxed) {
             let hook = self.crash_hook.lock().clone();
             if let Some(hook) = hook {
@@ -1335,31 +1279,11 @@ impl Exchange {
     /// submitted before the drain returned is settled, and its winner has
     /// run to a terminal state.
     ///
-    /// Under [`ExecutorBackend::Async`] the same contract holds but
-    /// `n_workers` sizes the course-task pool only when the backend was
-    /// configured with `course_tasks == 0` (see
-    /// [`Exchange::set_executor`]).
+    /// The drain is a thread pool (see the module doc's execution model):
+    /// a dispatcher on the calling thread feeds `n_workers` slice workers
+    /// over two bounded queues, and a worker that dispatches a session
+    /// trains its uncached course inline.
     pub fn drain(&self, n_workers: usize) -> DrainReport {
-        match self.executor.read().clone() {
-            ExecutorBackend::ThreadPool => self.drain_threads(n_workers),
-            ExecutorBackend::Async {
-                course_tasks,
-                resolver,
-            } => {
-                let tasks = if course_tasks == 0 {
-                    n_workers
-                } else {
-                    course_tasks
-                };
-                self.drain_async(tasks, resolver.as_ref())
-            }
-        }
-    }
-
-    /// The thread-pool backend's drain (see the module doc's execution
-    /// model): dispatcher on the calling thread, `n_workers` blocking
-    /// slice workers over two bounded queues.
-    fn drain_threads(&self, n_workers: usize) -> DrainReport {
         let hw = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -1479,7 +1403,7 @@ impl Exchange {
     /// the worker that landed (or failed) the in-flight training, *inside*
     /// its slice — before its notice reaches the dispatcher — so the
     /// drain-termination invariant holds.
-    pub(crate) fn wake_course_waiters(&self, eval_key: u64, bundle: BundleMask) {
+    fn wake_course_waiters(&self, eval_key: u64, bundle: BundleMask) {
         let woken = self.waitlist.drain((eval_key, bundle.0));
         if !woken.is_empty() {
             if let Some(t) = self.telemetry.as_deref() {
@@ -1688,7 +1612,7 @@ impl Exchange {
     /// Drain-idle hook: flushes the clearing window (partial final
     /// epochs included). Returns the sessions it cancelled; winners it
     /// woke are in the pending queue afterwards.
-    pub(crate) fn flush_clearing(&self) -> usize {
+    fn flush_clearing(&self) -> usize {
         match self.clearing.read().clone() {
             Some(window) => self.drive_clearing(&window, true),
             None => 0,
@@ -1703,31 +1627,12 @@ impl Exchange {
     /// most one model training, cache-hot sessions close in a single
     /// dispatch, and cold sessions interleave fairly.
     fn run_slice(&self, id: SessionId) -> Notice {
-        match self.run_slice_generic(id, SliceCourse::Inline) {
-            SliceEnd::Notice(notice) => notice,
-            SliceEnd::NeedCourse(_) => unreachable!("inline slices train their own courses"),
-        }
-    }
-
-    /// The backend-generic slice body behind [`Exchange::run_slice`] (see
-    /// its contract): `mode` selects how an uncached course is paid —
-    /// inline on this thread, deferred to the async router, or resumed
-    /// with a router-delivered result. Every journal frame, crash point,
-    /// metric, and wake on this path is issued in the same order in all
-    /// three modes; the only divergence is *where* the training itself
-    /// runs.
-    pub(crate) fn run_slice_generic(&self, id: SessionId, mode: SliceCourse) -> SliceEnd {
-        let plain = |kind: NoticeKind| SliceEnd::Notice(Notice { kind, cancelled: 0 });
+        let plain = |kind: NoticeKind| Notice { kind, cancelled: 0 };
         let Some(mut session) = self.store.check_out(id) else {
             // Spurious wake: a course-waitlist or settlement wake raced the
             // session into a terminal state (e.g. a cancelled loser that
             // was still on a waitlist). Nothing to run, nothing to count.
             return plain(NoticeKind::Parked);
-        };
-        let defer = !matches!(mode, SliceCourse::Inline);
-        let (resumed, mut injected) = match mode {
-            SliceCourse::Resume(result) => (true, Some(result)),
-            _ => (false, None),
         };
         // Telemetry bracket: start the slice timer and settle the queued
         // session's dispatch-wait sample (stamped at submit or wake).
@@ -1742,22 +1647,15 @@ impl Exchange {
             }
             timer
         });
-        if !resumed {
-            // A resumed slice is the second half of ONE dispatch (the
-            // thread backend's trainer continues in-slice after its
-            // course; the async payer does the same across the
-            // suspension), so it re-journals no dispatch frame.
-            self.crash_point(CrashPoint::Dispatched(id));
-            self.record_with(|| ExchangeEvent::SessionDispatched { session: id });
-        }
+        self.crash_point(CrashPoint::Dispatched(id));
+        self.record_with(|| ExchangeEvent::SessionDispatched { session: id });
         let (provider, eval_key) = {
             let markets = self.markets.read();
             let entry = &markets[session.market.0];
             (entry.provider.clone(), entry.eval_key)
         };
         let rounds_before = session.rounds_so_far();
-        // The resumed payer's course budget is already spent.
-        let mut paid_course = resumed;
+        let mut paid_course = false;
         loop {
             // Matching tier: an unreleased candidate at its probe horizon
             // parks for settlement instead of training again. Check-in
@@ -1780,167 +1678,122 @@ impl Exchange {
                     QuoteState::Standing(standing),
                     history,
                 );
-                return SliceEnd::Notice(Notice {
+                return Notice {
                     kind: NoticeKind::Parked,
                     cancelled,
-                });
+                };
             }
-            let step = if let Some(result) = injected.take() {
-                // Resume mode, first iteration only: the router already
-                // landed (or aborted) the course and woke its waiters —
-                // consume the result exactly where the inline trainer
-                // would have.
-                match result {
-                    Ok(g) => session.drive(Some(g)),
-                    Err(e) => Err(e),
-                }
-            } else {
-                match session.pending_bundle() {
-                    Some(bundle) => {
-                        if paid_course && self.cache.peek(eval_key, bundle).is_none() {
-                            // A second training would blow the slice budget:
-                            // park the session; the next dispatch pays it.
+            let step = match session.pending_bundle() {
+                Some(bundle) => {
+                    if paid_course && self.cache.peek(eval_key, bundle).is_none() {
+                        // A second training would blow the slice budget:
+                        // park the session; the next dispatch pays it.
+                        self.add_rounds(session.rounds_so_far() - rounds_before);
+                        if let (Some(t), Some(timer)) = (tele, slice_timer.take()) {
+                            timer.finish(t, session.rounds_so_far());
+                        }
+                        self.store.check_in(id, session);
+                        return plain(NoticeKind::Yielded(id));
+                    }
+                    ExchangeMetrics::incr(&self.metrics.courses_requested);
+                    let serve_start = tele.map(|t| t.now_ns());
+                    match self.cache.serve(eval_key, bundle, provider.as_ref()) {
+                        Ok(CourseServe::Hit(g)) => {
+                            if let (Some(t), Some(start)) = (tele, serve_start) {
+                                let served = t.now_ns() - start;
+                                t.stages.course_cache_hit.record(served);
+                                if let Some(timer) = slice_timer.as_mut() {
+                                    timer.note_serve(served);
+                                }
+                            }
+                            self.record_with(|| ExchangeEvent::CourseRequested {
+                                session: id,
+                                eval_key,
+                                bundle,
+                            });
+                            session.drive(Some(g))
+                        }
+                        Ok(CourseServe::Computed(g)) => {
+                            paid_course = true;
+                            if let (Some(t), Some(start)) = (tele, serve_start) {
+                                let now = t.now_ns();
+                                t.stages.course_train.record(now - start);
+                                t.span(TraceKey::Session(id.0), "course_train", start, now);
+                                if let Some(timer) = slice_timer.as_mut() {
+                                    timer.note_serve(now - start);
+                                }
+                            }
+                            // Course critical section: the training is paid
+                            // but not yet journaled — a crash here loses the
+                            // receipt, and recovery legitimately re-trains.
+                            self.crash_point(CrashPoint::CourseTrained {
+                                session: id,
+                                eval_key,
+                                bundle,
+                            });
+                            self.record_with(|| ExchangeEvent::CourseServed {
+                                eval_key,
+                                bundle,
+                                gain: g,
+                            });
+                            self.crash_point(CrashPoint::CourseRecorded {
+                                session: id,
+                                eval_key,
+                                bundle,
+                            });
+                            // Wake-on-insert: the result is cached, so
+                            // sessions that hit Busy on this key resume.
+                            self.wake_course_waiters(eval_key, bundle);
+                            session.drive(Some(g))
+                        }
+                        Ok(CourseServe::Busy) => {
+                            // Another worker is training this exact course.
+                            // Park on the waitlist (check-in first, then
+                            // enqueue — see the waitlist module's wake
+                            // protocol) instead of spinning on redispatch.
+                            self.metrics
+                                .courses_requested
+                                .fetch_sub(1, Ordering::Relaxed);
+                            ExchangeMetrics::incr(&self.metrics.course_waits);
                             self.add_rounds(session.rounds_so_far() - rounds_before);
                             if let (Some(t), Some(timer)) = (tele, slice_timer.take()) {
                                 timer.finish(t, session.rounds_so_far());
                             }
                             self.store.check_in(id, session);
-                            return plain(NoticeKind::Yielded(id));
-                        }
-                        ExchangeMetrics::incr(&self.metrics.courses_requested);
-                        let serve_start = tele.map(|t| t.now_ns());
-                        match self.cache.serve_softly(eval_key, bundle) {
-                            SoftServe::Hit(g) => {
-                                if let (Some(t), Some(start)) = (tele, serve_start) {
-                                    let served = t.now_ns() - start;
-                                    t.stages.course_cache_hit.record(served);
-                                    if let Some(timer) = slice_timer.as_mut() {
-                                        timer.note_serve(served);
-                                    }
-                                }
-                                self.record_with(|| ExchangeEvent::CourseRequested {
-                                    session: id,
-                                    eval_key,
-                                    bundle,
-                                });
-                                session.drive(Some(g))
+                            let key = (eval_key, bundle.0);
+                            self.waitlist.enqueue(key, id);
+                            if let Some(t) = tele {
+                                t.waitlist_depth.inc();
                             }
-                            SoftServe::Claimed if defer => {
-                                // Async backend: suspend the session (checked
-                                // in, off every queue, holding the training
-                                // claim) and hand the order to the router. No
-                                // settlement can touch it meanwhile — only
-                                // candidates parked *at their probe horizon*
-                                // are settlement-visible, and this one has not
-                                // reported its quote yet.
-                                self.add_rounds(session.rounds_so_far() - rounds_before);
-                                if let (Some(t), Some(timer)) = (tele, slice_timer.take()) {
-                                    timer.finish(t, session.rounds_so_far());
-                                }
-                                self.store.check_in(id, session);
-                                return SliceEnd::NeedCourse(CourseOrder {
-                                    session: id,
-                                    eval_key,
-                                    bundle,
-                                    provider: provider.clone(),
-                                });
-                            }
-                            SoftServe::Claimed => {
-                                paid_course = true;
-                                match provider.gain(bundle) {
-                                    Ok(g) => {
-                                        self.cache.complete(eval_key, bundle, g);
-                                        if let (Some(t), Some(start)) = (tele, serve_start) {
-                                            let now = t.now_ns();
-                                            t.stages.course_train.record(now - start);
-                                            t.span(
-                                                TraceKey::Session(id.0),
-                                                "course_train",
-                                                start,
-                                                now,
-                                            );
-                                            if let Some(timer) = slice_timer.as_mut() {
-                                                timer.note_serve(now - start);
-                                            }
-                                        }
-                                        // Course critical section: the training
-                                        // is paid but not yet journaled — a
-                                        // crash here loses the receipt, and
-                                        // recovery legitimately re-trains.
-                                        self.crash_point(CrashPoint::CourseTrained {
-                                            session: id,
-                                            eval_key,
-                                            bundle,
-                                        });
-                                        self.record_with(|| ExchangeEvent::CourseServed {
-                                            eval_key,
-                                            bundle,
-                                            gain: g,
-                                        });
-                                        self.crash_point(CrashPoint::CourseRecorded {
-                                            session: id,
-                                            eval_key,
-                                            bundle,
-                                        });
-                                        // Wake-on-insert: the result is cached,
-                                        // so sessions that hit Busy on this key
-                                        // resume.
-                                        self.wake_course_waiters(eval_key, bundle);
-                                        session.drive(Some(g))
-                                    }
-                                    Err(e) => {
-                                        // The training failed: nothing is
-                                        // inserted, the claim is released. Wake
-                                        // waiters so they retry (and surface
-                                        // the error on their own sessions)
-                                        // instead of sleeping forever.
-                                        self.cache.abort(eval_key, bundle);
-                                        self.wake_course_waiters(eval_key, bundle);
-                                        Err(e)
-                                    }
-                                }
-                            }
-                            SoftServe::Busy => {
-                                // Another worker is training this exact course.
-                                // Park on the waitlist (check-in first, then
-                                // enqueue — see the waitlist module's wake
-                                // protocol) instead of spinning on redispatch.
-                                self.metrics
-                                    .courses_requested
-                                    .fetch_sub(1, Ordering::Relaxed);
-                                ExchangeMetrics::incr(&self.metrics.course_waits);
-                                self.add_rounds(session.rounds_so_far() - rounds_before);
-                                if let (Some(t), Some(timer)) = (tele, slice_timer.take()) {
-                                    timer.finish(t, session.rounds_so_far());
-                                }
-                                self.store.check_in(id, session);
-                                let key = (eval_key, bundle.0);
-                                self.waitlist.enqueue(key, id);
+                            // Check-after-enqueue: if the training ended in
+                            // the meantime — result landed, OR the claim
+                            // was released by a *failed* training (which
+                            // inserts nothing, so peeking alone would miss
+                            // it and park us forever) — arbitrate with the
+                            // trainer's drain over who requeues us
+                            // (exactly one side does).
+                            if (self.cache.peek(eval_key, bundle).is_some()
+                                || !self.cache.is_training(eval_key, bundle))
+                                && self.waitlist.cancel(key, id)
+                            {
                                 if let Some(t) = tele {
-                                    t.waitlist_depth.inc();
+                                    t.waitlist_depth.dec();
                                 }
-                                // Check-after-enqueue: if the training ended in
-                                // the meantime — result landed, OR the claim
-                                // was released by a *failed* training (which
-                                // inserts nothing, so peeking alone would miss
-                                // it and park us forever) — arbitrate with the
-                                // trainer's drain over who requeues us
-                                // (exactly one side does).
-                                if (self.cache.peek(eval_key, bundle).is_some()
-                                    || !self.cache.is_training(eval_key, bundle))
-                                    && self.waitlist.cancel(key, id)
-                                {
-                                    if let Some(t) = tele {
-                                        t.waitlist_depth.dec();
-                                    }
-                                    return plain(NoticeKind::Yielded(id));
-                                }
-                                return plain(NoticeKind::Parked);
+                                return plain(NoticeKind::Yielded(id));
                             }
+                            return plain(NoticeKind::Parked);
+                        }
+                        Err(e) => {
+                            // The training failed: nothing was inserted and
+                            // the claim is released. Wake waiters so they
+                            // retry (and surface the error on their own
+                            // sessions) instead of sleeping forever.
+                            self.wake_course_waiters(eval_key, bundle);
+                            Err(e)
                         }
                     }
-                    None => session.drive(None),
                 }
+                None => session.drive(None),
             };
             match step {
                 Ok(Drive::NeedGain) => continue,
@@ -1975,10 +1828,10 @@ impl Exchange {
                         }
                         _ => 0,
                     };
-                    return SliceEnd::Notice(Notice {
+                    return Notice {
                         kind: NoticeKind::Finished { closed: true },
                         cancelled,
-                    });
+                    };
                 }
                 Err(e) => {
                     ExchangeMetrics::incr(&self.metrics.sessions_failed);
@@ -2003,10 +1856,10 @@ impl Exchange {
                         }
                         _ => 0,
                     };
-                    return SliceEnd::Notice(Notice {
+                    return Notice {
                         kind: NoticeKind::Finished { closed: false },
                         cancelled,
-                    });
+                    };
                 }
             }
         }
@@ -2100,78 +1953,6 @@ mod tests {
                 inner: StrategicData::with_gains(gains.to_vec()),
                 calls: calls.clone(),
             }),
-        }
-    }
-
-    /// End-to-end seam smoke: the async backend (local and
-    /// simulated-remote resolvers, various task counts) must close the
-    /// same sessions to the same outcomes with the same deterministic
-    /// counters as the default thread pool. The full proof lives in the
-    /// backend-equivalence tier; this pins the seam at the crate level.
-    #[test]
-    fn async_backend_closes_sessions_identically_to_the_thread_pool() {
-        let run = |backend: Option<ExecutorBackend>| {
-            let exchange = Exchange::new(ExchangeConfig::default());
-            let (market, gains) = market_fixture(&exchange);
-            let calls = Arc::new(AtomicU64::new(0));
-            let sids: Vec<SessionId> = (0..6)
-                .map(|_| {
-                    exchange
-                        .submit(market, counted_order(&gains, &calls))
-                        .unwrap()
-                })
-                .collect();
-            if let Some(backend) = backend {
-                exchange.set_executor(backend);
-            }
-            let report = exchange.drain(2);
-            assert_eq!(report.closed + report.failed, 6, "all sessions terminal");
-            let outcomes: Vec<Outcome> = sids
-                .iter()
-                .map(|&sid| *exchange.take(sid).unwrap().unwrap())
-                .collect();
-            (outcomes, exchange.metrics())
-        };
-        let (reference, ref_metrics) = run(None);
-        let backends: Vec<(&str, ExecutorBackend)> = vec![
-            (
-                "local/3-tasks",
-                ExecutorBackend::Async {
-                    course_tasks: 3,
-                    resolver: Arc::new(crate::executor::LocalResolver),
-                },
-            ),
-            (
-                "remote/1-task",
-                ExecutorBackend::Async {
-                    course_tasks: 1,
-                    resolver: Arc::new(crate::executor::SimulatedRemoteResolver::new(
-                        Duration::from_micros(200),
-                    )),
-                },
-            ),
-        ];
-        for (label, backend) in backends {
-            let (outcomes, metrics) = run(Some(backend));
-            assert_eq!(outcomes, reference, "outcomes diverged ({label})");
-            // Schedule-independent counters must agree exactly;
-            // course_waits is the one legitimately schedule-dependent
-            // counter (see the backend-equivalence tier).
-            assert_eq!(
-                metrics.sessions_closed, ref_metrics.sessions_closed,
-                "{label}"
-            );
-            assert_eq!(metrics.deals_struck, ref_metrics.deals_struck, "{label}");
-            assert_eq!(metrics.cache_misses, ref_metrics.cache_misses, "{label}");
-            assert_eq!(metrics.cache_hits, ref_metrics.cache_hits, "{label}");
-            assert_eq!(
-                metrics.courses_requested, ref_metrics.courses_requested,
-                "{label}"
-            );
-            assert_eq!(
-                metrics.rounds_completed, ref_metrics.rounds_completed,
-                "{label}"
-            );
         }
     }
 

@@ -39,13 +39,11 @@
 //!   checksummed frames) and [`Exchange::recover`]: a crashed drain is
 //!   rebuilt from the journal's valid prefix and resumes without
 //!   re-training any course it already paid for (epoch clearings
-//!   included — the recorded epochs are re-derived and audited);
-//! * [`executor`] — the pluggable executor backend behind
-//!   [`Exchange::drain`] ([`Exchange::set_executor`]): the default
-//!   thread pool, or an async router where every uncached course is a
-//!   future resolved off-slot through a [`CourseResolver`] — same API,
-//!   bit-identical outcomes and journals, radically different latency
-//!   tolerance (bench E14).
+//!   included — the recorded epochs are re-derived and audited).
+//!
+//! [`Exchange::drain`] is a thread pool: a dispatcher on the calling
+//! thread feeds worker threads, and the worker that dispatches a session
+//! trains its uncached course inline, at most one training per dispatch.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -128,7 +126,6 @@
 pub mod cache;
 pub mod clearing;
 pub mod exchange;
-pub mod executor;
 pub mod journal;
 pub mod matching;
 pub mod metrics;
@@ -145,10 +142,6 @@ pub use clearing::{
     UniformPriceClearing,
 };
 pub use exchange::{CheckpointStats, DrainReport, Exchange, ExchangeConfig, MarketId, MarketSpec};
-pub use executor::{
-    CourseFuture, CourseOrder, CourseResolver, ExecutorBackend, LocalResolver,
-    SimulatedRemoteResolver,
-};
 pub use journal::{
     frame_boundaries, listing_table_digest, read_events, CheckpointMarket, CheckpointState,
     CompactError, CompactStats, CrashHook, CrashPoint, ExchangeEvent, Journal, MemorySink,

@@ -65,9 +65,8 @@ pub mod thread {
 
 pub mod channel {
     //! Bounded MPMC channel over Mutex + Condvar. Unlike
-    //! `std::sync::mpsc`, both halves are `Sync` (crossbeam's are), which
-    //! the distributed engine relies on: its scoped threads *borrow* the
-    //! receiver instead of moving it.
+    //! `std::sync::mpsc`, both halves are `Sync` (crossbeam's are), so
+    //! scoped threads can *borrow* a receiver instead of moving it.
 
     use std::collections::VecDeque;
     use std::sync::{Arc, Condvar, Mutex};
