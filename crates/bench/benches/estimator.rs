@@ -23,6 +23,21 @@ fn bench_estimator(c: &mut Criterion) {
         b.iter(|| black_box(model.observe(black_box(&q), 0.12)))
     });
 
+    // One imperfect-courses session per iteration: a fresh model and 31
+    // observes (30 exploration rounds plus the closing one), so the buffer
+    // grows from 1 to 31 samples as it does in the benchmark workload.
+    group.bench_function("price_model_session_31_rounds", |b| {
+        b.iter(|| {
+            let mut model = PriceGainModel::new(PriceModelConfig::default());
+            for i in 0..31 {
+                let q =
+                    QuotedPrice::new(8.0 + 0.05 * i as f64, 1.0, 1.5 + i as f64 / 40.0).unwrap();
+                model.observe(black_box(&q), 0.05 + 0.001 * i as f64);
+            }
+            black_box(model)
+        })
+    });
+
     group.bench_function("price_model_predict", |b| {
         let mut model = PriceGainModel::new(PriceModelConfig::default());
         let q = QuotedPrice::new(8.0, 1.0, 2.5).unwrap();
@@ -36,6 +51,16 @@ fn bench_estimator(c: &mut Criterion) {
             model.observe(BundleMask(1 + (i % 500_000)), 0.05);
         }
         b.iter(|| black_box(model.observe(BundleMask(0b1011), 0.12)))
+    });
+
+    group.bench_function("bundle_model_session_31_rounds", |b| {
+        b.iter(|| {
+            let mut model = BundleGainModel::new(BundleModelConfig::for_features(19, 0.2, 3));
+            for i in 0..31u64 {
+                model.observe(black_box(BundleMask(1 + i * 7919 % 500_000)), 0.05);
+            }
+            black_box(model)
+        })
     });
 
     group.bench_function("bundle_model_predict_48_listings", |b| {

@@ -7,6 +7,7 @@ use crate::buffer::ReplayBuffer;
 use vfl_ml::nn::AdamConfig;
 use vfl_ml::{Embedding, MlpRegressor};
 use vfl_sim::BundleMask;
+use vfl_tabular::Matrix;
 
 /// Hyper-parameters of the bundle → gain estimator.
 #[derive(Debug, Clone, Copy)]
@@ -78,16 +79,14 @@ impl BundleGainModel {
 
     /// Predicted ΔG for a bundle.
     pub fn predict(&self, bundle: BundleMask) -> f64 {
-        let pooled = self
-            .embedding
-            .forward_mean_inference(&[Self::ids_of(bundle)]);
+        let pooled = self.embedding.forward_mean(&[Self::ids_of(bundle)]);
         self.net.predict(&pooled)[0] * self.cfg.gain_scale
     }
 
     /// Predicted ΔG for many bundles at once.
     pub fn predict_many(&self, bundles: &[BundleMask]) -> Vec<f64> {
         let batch: Vec<Vec<u32>> = bundles.iter().map(|&b| Self::ids_of(b)).collect();
-        let pooled = self.embedding.forward_mean_inference(&batch);
+        let pooled = self.embedding.forward_mean(&batch);
         self.net
             .predict(&pooled)
             .into_iter()
@@ -97,18 +96,20 @@ impl BundleGainModel {
 
     /// Records a realized (bundle, ΔG) pair, performs the per-round updates
     /// through both the MLP and the embedding, and returns the buffer MSE
-    /// after updating (normalized units).
+    /// after updating (normalized units). The id lists, targets and pooled
+    /// batch are built once per call and reused by every update.
     pub fn observe(&mut self, bundle: BundleMask, gain: f64) -> f64 {
         self.buffer.push((bundle, gain / self.cfg.gain_scale));
         let batch: Vec<Vec<u32>> = self.buffer.iter().map(|&(b, _)| Self::ids_of(b)).collect();
         let targets: Vec<f64> = self.buffer.iter().map(|&(_, t)| t).collect();
+        let mut pooled = Matrix::zeros(0, 0);
         for _ in 0..self.cfg.updates_per_round {
-            let pooled = self.embedding.forward_mean(&batch);
+            self.embedding.forward_mean_into(&batch, &mut pooled);
             let (_, d_pooled) = self.net.train_batch_with_input_grad(&pooled, &targets);
-            self.embedding.backward_mean(&d_pooled);
+            self.embedding.backward_mean(&batch, d_pooled);
             self.embedding.step(&self.adam);
         }
-        let pooled = self.embedding.forward_mean_inference(&batch);
+        self.embedding.forward_mean_into(&batch, &mut pooled);
         let mse = self.net.evaluate(&pooled, &targets);
         self.mse_history.push(mse);
         mse

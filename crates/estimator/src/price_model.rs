@@ -71,7 +71,7 @@ impl PriceGainModel {
 
     /// Predicted ΔG for a quote.
     pub fn predict(&self, quote: &QuotedPrice) -> f64 {
-        let x = Matrix::from_rows(&[self.featurize(quote).to_vec()]).expect("1x3 features");
+        let x = Matrix::from_vec(1, 3, self.featurize(quote).to_vec()).expect("1x3 features");
         self.net.predict(&x)[0] * self.cfg.gain_scale
     }
 
@@ -81,21 +81,19 @@ impl PriceGainModel {
         let features = self.featurize(quote);
         self.buffer.push((features, gain / self.cfg.gain_scale));
         let (x, t) = self.training_set();
-        let mut mse = f64::NAN;
         for _ in 0..self.cfg.updates_per_round {
-            mse = self.net.train_batch(&x, &t);
+            self.net.train_batch(&x, &t);
         }
-        let final_mse = self.net.evaluate(&x, &t);
-        self.mse_history.push(final_mse);
-        let _ = mse;
-        final_mse
+        let mse = self.net.evaluate(&x, &t);
+        self.mse_history.push(mse);
+        mse
     }
 
     fn training_set(&self) -> (Matrix, Vec<f64>) {
-        let rows: Vec<Vec<f64>> = self.buffer.iter().map(|(f, _)| f.to_vec()).collect();
+        let features: Vec<f64> = self.buffer.iter().flat_map(|(f, _)| *f).collect();
         let targets: Vec<f64> = self.buffer.iter().map(|&(_, t)| t).collect();
         (
-            Matrix::from_rows(&rows).expect("uniform feature rows"),
+            Matrix::from_vec(targets.len(), 3, features).expect("3 features per row"),
             targets,
         )
     }

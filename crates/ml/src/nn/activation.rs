@@ -45,17 +45,17 @@ impl Activation {
     }
 }
 
-/// Activation layer caching its output for the backward pass.
-#[derive(Debug, Clone)]
+/// Element-wise activation layer. It keeps no state: the backward pass
+/// takes the forward output back from the caller.
+#[derive(Debug, Clone, Copy)]
 pub struct ActLayer {
     act: Activation,
-    output: Option<Matrix>,
 }
 
 impl ActLayer {
     /// New activation layer.
     pub fn new(act: Activation) -> Self {
-        ActLayer { act, output: None }
+        ActLayer { act }
     }
 
     /// The wrapped activation kind.
@@ -63,33 +63,18 @@ impl ActLayer {
         self.act
     }
 
-    /// Forward pass with output caching.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut out = x.clone();
-        out.map_inplace(|v| self.act.apply(v));
-        self.output = Some(out.clone());
-        out
+    /// Forward pass in place: `x <- act(x)`.
+    pub fn apply_inplace(&self, x: &mut Matrix) {
+        x.map_inplace(|v| self.act.apply(v));
     }
 
-    /// Forward pass without caching (inference).
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let mut out = x.clone();
-        out.map_inplace(|v| self.act.apply(v));
-        out
-    }
-
-    /// Backward pass: `dL/dx = dL/dy * act'(x)`.
-    pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let y = self
-            .output
-            .as_ref()
-            .expect("activation backward before forward");
-        assert_eq!(y.shape(), d_out.shape(), "activation grad shape");
-        let mut dx = d_out.clone();
-        for (d, &o) in dx.as_mut_slice().iter_mut().zip(y.as_slice()) {
+    /// Backward pass in place, from the forward output `y`:
+    /// `d <- d * act'(x)`, turning `dL/dy` into `dL/dx`.
+    pub fn backward_inplace(&self, y: &Matrix, d: &mut Matrix) {
+        assert_eq!(y.shape(), d.shape(), "activation grad shape");
+        for (d, &o) in d.as_mut_slice().iter_mut().zip(y.as_slice()) {
             *d *= self.act.grad_from_output(o);
         }
-        dx
     }
 }
 
@@ -97,25 +82,31 @@ impl ActLayer {
 mod tests {
     use super::*;
 
+    /// Forward then backward with `dL/dy = 1`: returns `(y, dL/dx)`.
+    fn run(act: Activation, x: &Matrix) -> (Matrix, Matrix) {
+        let layer = ActLayer::new(act);
+        let mut y = x.clone();
+        layer.apply_inplace(&mut y);
+        let mut d = Matrix::filled(x.rows(), x.cols(), 1.0);
+        layer.backward_inplace(&y, &mut d);
+        (y, d)
+    }
+
     #[test]
     fn relu_clips_negatives() {
-        let mut layer = ActLayer::new(Activation::Relu);
         let x = Matrix::from_vec(1, 3, vec![-1.0, 0.0, 2.0]).unwrap();
-        let y = layer.forward(&x);
+        let (y, dx) = run(Activation::Relu, &x);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
-        let dx = layer.backward(&Matrix::filled(1, 3, 1.0));
         assert_eq!(dx.as_slice(), &[0.0, 0.0, 1.0]);
     }
 
     #[test]
     fn sigmoid_range_and_grad() {
-        let mut layer = ActLayer::new(Activation::Sigmoid);
         let x = Matrix::from_vec(1, 3, vec![-50.0, 0.0, 50.0]).unwrap();
-        let y = layer.forward(&x);
+        let (y, dx) = run(Activation::Sigmoid, &x);
         assert!(y.get(0, 0) < 1e-12);
         assert!((y.get(0, 1) - 0.5).abs() < 1e-12);
         assert!(y.get(0, 2) > 1.0 - 1e-12);
-        let dx = layer.backward(&Matrix::filled(1, 3, 1.0));
         // Max slope 0.25 at x = 0.
         assert!((dx.get(0, 1) - 0.25).abs() < 1e-12);
         assert!(dx.get(0, 0) < 1e-12);
@@ -123,10 +114,8 @@ mod tests {
 
     #[test]
     fn tanh_numerical_gradient() {
-        let mut layer = ActLayer::new(Activation::Tanh);
         let x = Matrix::from_vec(1, 1, vec![0.7]).unwrap();
-        let _ = layer.forward(&x);
-        let dx = layer.backward(&Matrix::filled(1, 1, 1.0));
+        let (_, dx) = run(Activation::Tanh, &x);
         let eps = 1e-6;
         let num = ((0.7f64 + eps).tanh() - (0.7f64 - eps).tanh()) / (2.0 * eps);
         assert!((dx.get(0, 0) - num).abs() < 1e-9);
@@ -134,8 +123,10 @@ mod tests {
 
     #[test]
     fn inference_matches_forward() {
-        let mut layer = ActLayer::new(Activation::Tanh);
+        // In-place application equals the element-wise map.
         let x = Matrix::from_vec(2, 2, vec![-1.0, 0.5, 2.0, -0.2]).unwrap();
-        assert_eq!(layer.forward(&x), layer.forward_inference(&x));
+        let (y, _) = run(Activation::Tanh, &x);
+        let want: Vec<f64> = x.as_slice().iter().map(|v| v.tanh()).collect();
+        assert_eq!(y.as_slice(), &want[..]);
     }
 }

@@ -8,13 +8,13 @@ use crate::rng::normal;
 use rand::rngs::StdRng;
 use vfl_tabular::Matrix;
 
-/// `vocab x dim` embedding table trained with Adam.
+/// `vocab x dim` embedding table trained with Adam. It keeps no batch:
+/// the backward pass takes the forward batch back from the caller.
 #[derive(Debug, Clone)]
 pub struct Embedding {
     table: Matrix,
     grad: Matrix,
     opt: AdamState,
-    cached_batch: Option<Vec<Vec<u32>>>,
 }
 
 impl Embedding {
@@ -28,7 +28,6 @@ impl Embedding {
             grad: Matrix::zeros(vocab, dim),
             opt: AdamState::new(vocab * dim),
             table,
-            cached_batch: None,
         }
     }
 
@@ -42,7 +41,16 @@ impl Embedding {
         self.table.cols()
     }
 
-    fn pool_into(&self, batch: &[Vec<u32>], out: &mut Matrix) {
+    /// Mean-pooled embeddings for a batch of id lists.
+    pub fn forward_mean(&self, batch: &[Vec<u32>]) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_mean_into(batch, &mut out);
+        out
+    }
+
+    /// Mean-pooled embeddings written into `out`, reusing its storage.
+    pub fn forward_mean_into(&self, batch: &[Vec<u32>], out: &mut Matrix) {
+        out.reset_zeros(batch.len(), self.dim());
         for (r, ids) in batch.iter().enumerate() {
             if ids.is_empty() {
                 continue; // empty bundle pools to the zero vector
@@ -53,47 +61,27 @@ impl Embedding {
                     (id as usize) < self.table.rows(),
                     "embedding id out of range"
                 );
-                let src = self.table.row(id as usize).to_vec();
-                for (o, s) in out.row_mut(r).iter_mut().zip(&src) {
+                let src = self.table.row(id as usize);
+                for (o, s) in out.row_mut(r).iter_mut().zip(src) {
                     *o += s * inv;
                 }
             }
         }
     }
 
-    /// Mean-pooled embeddings for a batch of id lists (training: caches the
-    /// batch for backprop).
-    pub fn forward_mean(&mut self, batch: &[Vec<u32>]) -> Matrix {
-        let mut out = Matrix::zeros(batch.len(), self.dim());
-        self.pool_into(batch, &mut out);
-        self.cached_batch = Some(batch.to_vec());
-        out
-    }
-
-    /// Mean-pooled embeddings without caching (inference).
-    pub fn forward_mean_inference(&self, batch: &[Vec<u32>]) -> Matrix {
-        let mut out = Matrix::zeros(batch.len(), self.dim());
-        self.pool_into(batch, &mut out);
-        out
-    }
-
-    /// Scatters the pooled gradient back onto the table rows.
-    pub fn backward_mean(&mut self, d_pooled: &Matrix) {
-        let batch = self
-            .cached_batch
-            .as_ref()
-            .expect("embedding backward before forward");
+    /// Scatters the pooled gradient of the forward `batch` back onto the
+    /// table rows.
+    pub fn backward_mean(&mut self, batch: &[Vec<u32>], d_pooled: &Matrix) {
         assert_eq!(d_pooled.rows(), batch.len(), "embedding grad batch size");
         assert_eq!(d_pooled.cols(), self.dim(), "embedding grad dim");
         self.grad.scale(0.0);
-        for (r, ids) in batch.iter().enumerate() {
+        for (ids, row) in batch.iter().zip(d_pooled.iter_rows()) {
             if ids.is_empty() {
                 continue;
             }
             let inv = 1.0 / ids.len() as f64;
             for &id in ids {
-                let row = d_pooled.row(r).to_vec();
-                for (g, d) in self.grad.row_mut(id as usize).iter_mut().zip(&row) {
+                for (g, d) in self.grad.row_mut(id as usize).iter_mut().zip(row) {
                     *g += d * inv;
                 }
             }
@@ -103,9 +91,7 @@ impl Embedding {
     /// Adam step on the whole table.
     pub fn step(&mut self, cfg: &AdamConfig) {
         // Split borrows: table (params) vs grad.
-        let Embedding {
-            table, grad, opt, ..
-        } = self;
+        let Embedding { table, grad, opt } = self;
         opt.step(table.as_mut_slice(), grad.as_slice(), cfg);
     }
 
@@ -123,9 +109,12 @@ mod tests {
     #[test]
     fn pooling_is_the_mean() {
         let mut rng = rng_from_seed(1);
-        let mut emb = Embedding::new(4, 3, &mut rng);
+        let emb = Embedding::new(4, 3, &mut rng);
         let batch = vec![vec![0, 2], vec![1], vec![]];
         let out = emb.forward_mean(&batch);
+        let mut reused = Matrix::filled(5, 5, f64::NAN);
+        emb.forward_mean_into(&batch, &mut reused);
+        assert_eq!(reused, out);
         for c in 0..3 {
             let expected = 0.5 * (emb.table().get(0, c) + emb.table().get(2, c));
             assert!((out.get(0, c) - expected).abs() < 1e-12);
@@ -139,10 +128,9 @@ mod tests {
         let mut rng = rng_from_seed(2);
         let mut emb = Embedding::new(3, 2, &mut rng);
         let batch = vec![vec![0, 1]];
-        let _ = emb.forward_mean(&batch);
         let mut d = Matrix::zeros(1, 2);
         d.set(0, 0, 1.0);
-        emb.backward_mean(&d);
+        emb.backward_mean(&batch, &d);
         // Each member receives d/2; the untouched row stays zero.
         assert!((emb.grad.get(0, 0) - 0.5).abs() < 1e-12);
         assert!((emb.grad.get(1, 0) - 0.5).abs() < 1e-12);
@@ -155,8 +143,7 @@ mod tests {
         let mut emb = Embedding::new(3, 2, &mut rng);
         let before_untouched = emb.table().row(2).to_vec();
         let batch = vec![vec![0]];
-        let _ = emb.forward_mean(&batch);
-        emb.backward_mean(&Matrix::filled(1, 2, 1.0));
+        emb.backward_mean(&batch, &Matrix::filled(1, 2, 1.0));
         emb.step(&AdamConfig::with_lr(0.1));
         assert_eq!(
             emb.table().row(2),
@@ -177,7 +164,7 @@ mod tests {
             let mut d = Matrix::zeros(2, 1);
             d.set(0, 0, out.get(0, 0) - 1.0);
             d.set(1, 0, out.get(1, 0) + 1.0);
-            emb.backward_mean(&d);
+            emb.backward_mean(&batch, &d);
             emb.step(&cfg);
         }
         assert!((emb.table().get(0, 0) - 1.0).abs() < 0.05);

@@ -1,6 +1,10 @@
 //! Multi-layer perceptron built from [`Linear`] and [`ActLayer`] blocks,
 //! with a classifier wrapper (the paper's 3-layer MLP base model, §4.1.2)
 //! and a regressor wrapper (the ΔG estimation networks, §3.5.1).
+//!
+//! The blocks keep no activations: [`Mlp`] owns one reusable training
+//! tape, so a training step allocates nothing once the tape has grown to
+//! the batch size (DESIGN.md, "The MLP training tape").
 
 use crate::error::{MlError, Result};
 use crate::model::{check_fit_inputs, Classifier};
@@ -12,106 +16,113 @@ use crate::rng::{rng_from_seed, shuffle};
 use rand::rngs::StdRng;
 use vfl_tabular::{Matrix, Standardizer};
 
-/// One block of the network. `Linear` is boxed: it carries weight/grad
-/// matrices and Adam state, dwarfing the activation variant.
+/// The buffers of one training step, reused across steps.
 #[derive(Debug, Clone)]
-enum Block {
-    Linear(Box<Linear>),
-    Act(ActLayer),
+struct Tape {
+    /// `acts[i]`: output of linear layer `i`, with the hidden activation
+    /// applied in place (every layer but the last). It is both the input of
+    /// layer `i + 1` and the output the activation's backward pass reads.
+    acts: Vec<Matrix>,
+    /// Ping-pong gradient buffers: the loss writes `dL/d(output)` into one;
+    /// each layer reads its output gradient from one and writes its input
+    /// gradient into the other, and then the two swap roles.
+    grads: [Matrix; 2],
 }
 
 /// A plain feed-forward stack: `dims = [in, h1, ..., out]` with the chosen
-/// activation between linear blocks (none after the output block).
+/// activation between linear layers (none after the output layer).
 #[derive(Debug, Clone)]
 pub struct Mlp {
-    blocks: Vec<Block>,
-    in_dim: usize,
-    out_dim: usize,
+    layers: Vec<Linear>,
+    act: ActLayer,
+    tape: Tape,
 }
 
 impl Mlp {
     /// Builds the stack. Panics if `dims` has fewer than two entries.
     pub fn new(dims: &[usize], hidden_act: Activation, rng: &mut StdRng) -> Self {
         assert!(dims.len() >= 2, "Mlp needs at least [in, out] dims");
-        let mut blocks = Vec::new();
-        for w in dims.windows(2).enumerate() {
-            let (i, pair) = w;
-            blocks.push(Block::Linear(Box::new(Linear::new(pair[0], pair[1], rng))));
-            if i + 2 < dims.len() {
-                blocks.push(Block::Act(ActLayer::new(hidden_act)));
-            }
-        }
+        let layers: Vec<Linear> = dims
+            .windows(2)
+            .map(|pair| Linear::new(pair[0], pair[1], rng))
+            .collect();
+        let tape = Tape {
+            acts: vec![Matrix::zeros(0, 0); layers.len()],
+            grads: [Matrix::zeros(0, 0), Matrix::zeros(0, 0)],
+        };
         Mlp {
-            blocks,
-            in_dim: dims[0],
-            out_dim: *dims.last().expect("non-empty dims"),
+            layers,
+            act: ActLayer::new(hidden_act),
+            tape,
         }
     }
 
     /// Input width.
     pub fn in_dim(&self) -> usize {
-        self.in_dim
+        self.layers[0].in_dim()
     }
 
     /// Output width.
     pub fn out_dim(&self) -> usize {
-        self.out_dim
+        self.layers[self.layers.len() - 1].out_dim()
     }
 
     /// Total trainable parameters.
     pub fn n_params(&self) -> usize {
-        self.blocks
-            .iter()
-            .map(|b| match b {
-                Block::Linear(l) => l.n_params(),
-                Block::Act(_) => 0,
-            })
-            .sum()
+        self.layers.iter().map(Linear::n_params).sum()
     }
 
-    /// Training forward pass (caches activations).
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for b in &mut self.blocks {
-            h = match b {
-                Block::Linear(l) => l.forward(&h),
-                Block::Act(a) => a.forward(&h),
-            };
-        }
-        h
-    }
-
-    /// Inference forward pass (no caches, `&self`).
+    /// Inference forward pass (`&self`: two local ping-pong buffers, the
+    /// tape is untouched).
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for b in &self.blocks {
-            h = match b {
-                Block::Linear(l) => l.forward_inference(&h),
-                Block::Act(a) => a.forward_inference(&h),
-            };
+        let last = self.layers.len() - 1;
+        let mut h = Matrix::zeros(0, 0);
+        let mut next = Matrix::zeros(0, 0);
+        for (i, layer) in self.layers.iter().enumerate() {
+            layer.affine_into(if i == 0 { x } else { &h }, &mut next);
+            if i < last {
+                self.act.apply_inplace(&mut next);
+            }
+            std::mem::swap(&mut h, &mut next);
         }
         h
     }
 
-    /// Backward pass from `dL/d(output)`; returns `dL/d(input)`.
-    pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let mut d = d_out.clone();
-        for b in self.blocks.iter_mut().rev() {
-            d = match b {
-                Block::Linear(l) => l.backward(&d),
-                Block::Act(a) => a.backward(&d),
-            };
-        }
-        d
-    }
-
-    /// Adam step on every linear block.
-    pub fn step(&mut self, cfg: &AdamConfig) {
-        for b in &mut self.blocks {
-            if let Block::Linear(l) = b {
-                l.step(cfg);
+    /// One training step on the batch `x`: forward pass onto the tape;
+    /// `loss(output, grad)` writes `dL/d(output)` into `grad` and returns
+    /// the loss; backward pass; Adam step on every layer. Returns the loss
+    /// and, when `need_dx`, `dL/dx` (taken with the pre-step weights).
+    pub fn train_step(
+        &mut self,
+        x: &Matrix,
+        adam: &AdamConfig,
+        need_dx: bool,
+        loss: impl FnOnce(&Matrix, &mut Matrix) -> f64,
+    ) -> (f64, Option<&Matrix>) {
+        let Tape { acts, grads } = &mut self.tape;
+        let last = self.layers.len() - 1;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = acts.split_at_mut(i);
+            let out = &mut rest[0];
+            layer.affine_into(if i == 0 { x } else { &done[i - 1] }, out);
+            if i < last {
+                self.act.apply_inplace(out);
             }
         }
+
+        let [mut d, mut spare] = grads.each_mut();
+        let value = loss(&acts[last], d);
+        for i in (1..=last).rev() {
+            self.layers[i].backward_into(&acts[i - 1], d, Some(spare));
+            self.act.backward_inplace(&acts[i - 1], spare);
+            std::mem::swap(&mut d, &mut spare);
+        }
+        self.layers[0].backward_into(x, d, need_dx.then_some(&mut *spare));
+
+        for layer in &mut self.layers {
+            layer.step(adam);
+        }
+        (value, need_dx.then_some(&*spare))
     }
 }
 
@@ -197,15 +208,17 @@ impl Classifier for MlpClassifier {
 
         let n = xs.rows();
         let mut order: Vec<usize> = (0..n).collect();
+        let mut xb = Matrix::zeros(0, 0);
+        let mut yb: Vec<u8> = Vec::with_capacity(self.train.batch_size.min(n));
         for _ in 0..self.train.epochs {
             shuffle(&mut order, &mut rng);
             for chunk in order.chunks(self.train.batch_size) {
-                let xb = xs.select_rows(chunk)?;
-                let yb: Vec<u8> = chunk.iter().map(|&i| y[i]).collect();
-                let logits = mlp.forward(&xb);
-                let (_, grad) = bce_with_logits(&logits, &yb);
-                mlp.backward(&grad);
-                mlp.step(&adam);
+                xs.select_rows_into(chunk, &mut xb)?;
+                yb.clear();
+                yb.extend(chunk.iter().map(|&i| y[i]));
+                mlp.train_step(&xb, &adam, false, |logits, grad| {
+                    bce_with_logits(logits, &yb, grad)
+                });
             }
         }
         self.state = Some((mlp, standardizer));
@@ -254,21 +267,17 @@ impl MlpRegressor {
 
     /// One gradient step on a batch; returns the batch MSE before the step.
     pub fn train_batch(&mut self, x: &Matrix, targets: &[f64]) -> f64 {
-        let pred = self.mlp.forward(x);
-        let (loss, grad) = mse_loss(&pred, targets);
-        self.mlp.backward(&grad);
-        self.mlp.step(&self.adam);
-        loss
+        let mse = |pred: &Matrix, grad: &mut Matrix| mse_loss(pred, targets, grad);
+        self.mlp.train_step(x, &self.adam, false, mse).0
     }
 
     /// Like [`Self::train_batch`] but also returns the gradient w.r.t. the
-    /// *input* (needed to train an upstream embedding).
-    pub fn train_batch_with_input_grad(&mut self, x: &Matrix, targets: &[f64]) -> (f64, Matrix) {
-        let pred = self.mlp.forward(x);
-        let (loss, grad) = mse_loss(&pred, targets);
-        let dx = self.mlp.backward(&grad);
-        self.mlp.step(&self.adam);
-        (loss, dx)
+    /// *input* (needed to train an upstream embedding). The gradient lives
+    /// on the network's tape until the next step.
+    pub fn train_batch_with_input_grad(&mut self, x: &Matrix, targets: &[f64]) -> (f64, &Matrix) {
+        let mse = |pred: &Matrix, grad: &mut Matrix| mse_loss(pred, targets, grad);
+        let (loss, dx) = self.mlp.train_step(x, &self.adam, true, mse);
+        (loss, dx.expect("input gradient requested"))
     }
 
     /// Predictions for a batch.
@@ -314,6 +323,41 @@ mod tests {
         assert_eq!(mlp.in_dim(), 5);
         assert_eq!(mlp.out_dim(), 3);
         assert_eq!(mlp.n_params(), 5 * 8 + 8 + 8 * 3 + 3);
+    }
+
+    #[test]
+    fn train_step_input_grad_matches_numerical_gradient() {
+        // Tanh keeps the loss smooth; dx must be taken before the step.
+        let mut rng = rng_from_seed(9);
+        let mut mlp = Mlp::new(&[3, 5, 4, 1], Activation::Tanh, &mut rng);
+        let before = mlp.clone();
+        let x = Matrix::from_rows(&[vec![0.3, -1.2, 0.8], vec![-0.5, 0.1, 1.7]]).unwrap();
+        let targets = [0.4, -0.9];
+        let loss_at = |x: &Matrix| {
+            let mut grad = Matrix::zeros(0, 0);
+            mse_loss(&before.forward_inference(x), &targets, &mut grad)
+        };
+        let adam = AdamConfig::with_lr(0.1);
+        let (loss, dx) =
+            mlp.train_step(&x, &adam, true, |pred, grad| mse_loss(pred, &targets, grad));
+        assert_eq!(loss, loss_at(&x));
+        let dx = dx.unwrap().clone();
+        let eps = 1e-6;
+        for r in 0..2 {
+            for c in 0..3 {
+                let mut xp = x.clone();
+                xp.set(r, c, x.get(r, c) + eps);
+                let mut xm = x.clone();
+                xm.set(r, c, x.get(r, c) - eps);
+                let num = (loss_at(&xp) - loss_at(&xm)) / (2.0 * eps);
+                assert!((dx.get(r, c) - num).abs() < 1e-6, "dx[{r},{c}]");
+            }
+        }
+        assert_ne!(
+            mlp.forward_inference(&x),
+            before.forward_inference(&x),
+            "the step must move the weights"
+        );
     }
 
     #[test]

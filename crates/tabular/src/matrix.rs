@@ -149,7 +149,15 @@ impl Matrix {
 
     /// Returns a new matrix containing only the given rows (in order).
     pub fn select_rows(&self, indices: &[usize]) -> Result<Matrix> {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        let mut out = Matrix::zeros(0, 0);
+        self.select_rows_into(indices, &mut out).map(|()| out)
+    }
+
+    /// Writes the given rows (in order) into `out`, reusing its storage.
+    pub fn select_rows_into(&self, indices: &[usize], out: &mut Matrix) -> Result<()> {
+        out.rows = 0;
+        out.cols = self.cols;
+        out.data.clear();
         for &i in indices {
             if i >= self.rows {
                 return Err(TabularError::IndexOutOfBounds {
@@ -158,13 +166,10 @@ impl Matrix {
                     len: self.rows,
                 });
             }
-            data.extend_from_slice(self.row(i));
+            out.data.extend_from_slice(self.row(i));
+            out.rows += 1;
         }
-        Ok(Matrix {
-            rows: indices.len(),
-            cols: self.cols,
-            data,
-        })
+        Ok(())
     }
 
     /// Returns a new matrix containing only the given columns (in order).
@@ -240,20 +245,48 @@ impl Matrix {
         Ok(Matrix { rows, cols, data })
     }
 
+    /// Reshapes to `rows x cols` with every element `0.0`, reusing the
+    /// storage when it is large enough.
+    pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            let row = self.row(r);
+        let mut out = Matrix::zeros(0, 0);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Writes the transpose into `out`, reusing its storage.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.reset_zeros(self.cols, self.rows);
+        for (r, row) in self.iter_rows().enumerate() {
             for (c, &v) in row.iter().enumerate() {
                 out.data[c * self.rows + r] = v;
             }
         }
-        out
     }
 
-    /// `self * rhs` (naive triple loop; the reproduction's shapes are small).
+    /// `self * rhs` as a new matrix.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_into(rhs, &mut out).map(|()| out)
+    }
+
+    /// `out = self * rhs`, reusing `out`'s storage.
+    ///
+    /// Each `out[i][j]` starts at `0.0` and adds `self[i][k] * rhs[k][j]` in
+    /// ascending `k`, skipping the `k` whose `self[i][k]` is zero. The
+    /// accumulator can never be `-0.0`, so a skipped term (a `±0.0` product
+    /// when `rhs` is finite) would not have changed it: the result equals the
+    /// plain dot product bit for bit. The loops run row-axpy style (`k`
+    /// outer, `j` inner) so the inner loop is a contiguous, vectorisable
+    /// multiply-add over `rhs`'s row `k`.
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.cols != rhs.rows {
             return Err(TabularError::ShapeMismatch {
                 context: "Matrix::matmul",
@@ -261,25 +294,33 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (k, &a) in a_row.iter().enumerate() {
+        out.reset_zeros(self.rows, rhs.cols);
+        for (a_row, out_row) in self
+            .iter_rows()
+            .zip(out.data.chunks_exact_mut(rhs.cols.max(1)))
+        {
+            for (&a, b_row) in a_row.iter().zip(rhs.iter_rows()) {
                 if a == 0.0 {
                     continue;
                 }
-                let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                for (j, &b) in b_row.iter().enumerate() {
-                    out_row[j] += a * b;
+                for (o, &b) in out_row.iter_mut().zip(b_row) {
+                    *o += a * b;
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// `self^T * rhs` without materialising the transpose.
+    /// `self^T * rhs` as a new matrix, without materialising the transpose.
     pub fn t_matmul(&self, rhs: &Matrix) -> Result<Matrix> {
+        let mut out = Matrix::zeros(0, 0);
+        self.t_matmul_into(rhs, &mut out).map(|()| out)
+    }
+
+    /// `out = self^T * rhs`, reusing `out`'s storage. Each `out[i][j]` adds
+    /// `self[r][i] * rhs[r][j]` in ascending `r`, skipping zero `self[r][i]`
+    /// (exact for finite `rhs`, as in [`Matrix::matmul_into`]).
+    pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.rows != rhs.rows {
             return Err(TabularError::ShapeMismatch {
                 context: "Matrix::t_matmul",
@@ -287,45 +328,24 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = rhs.row(r);
-            for (i, &a) in a_row.iter().enumerate() {
+        out.reset_zeros(self.cols, rhs.cols);
+        for (a_row, b_row) in self.iter_rows().zip(rhs.iter_rows()) {
+            for (&a, out_row) in a_row.iter().zip(out.data.chunks_exact_mut(rhs.cols.max(1))) {
                 if a == 0.0 {
                     continue;
                 }
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (j, &b) in b_row.iter().enumerate() {
-                    out_row[j] += a * b;
+                for (o, &b) in out_row.iter_mut().zip(b_row) {
+                    *o += a * b;
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// `self * rhs^T` without materialising the transpose.
+    /// `self * rhs^T` as a new matrix (row axpys over a transient transpose;
+    /// exact for finite `rhs`, as in [`Matrix::matmul_into`]).
     pub fn matmul_t(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.cols {
-            return Err(TabularError::ShapeMismatch {
-                context: "Matrix::matmul_t",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..rhs.rows {
-                let b_row = rhs.row(j);
-                let mut acc = 0.0;
-                for (a, b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                out.data[i * rhs.rows + j] = acc;
-            }
-        }
-        Ok(out)
+        self.matmul(&rhs.transpose())
     }
 
     /// Applies `f` to every element in place.
@@ -360,12 +380,19 @@ impl Matrix {
     /// Sum of every column, as a vector of length `cols`.
     pub fn col_sums(&self) -> Vec<f64> {
         let mut sums = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            for (s, v) in sums.iter_mut().zip(self.row(r)) {
+        self.col_sums_into(&mut sums);
+        sums
+    }
+
+    /// Writes the sum of every column into `sums` (length `cols`).
+    pub fn col_sums_into(&self, sums: &mut [f64]) {
+        assert_eq!(sums.len(), self.cols, "Matrix::col_sums_into: length");
+        sums.fill(0.0);
+        for row in self.iter_rows() {
+            for (s, v) in sums.iter_mut().zip(row) {
                 *s += v;
             }
         }
-        sums
     }
 
     /// Mean of every column, as a vector of length `cols`.
@@ -535,6 +562,173 @@ mod tests {
         assert_eq!(a.as_slice(), &[1.5, 2.5]);
         let c = Matrix::zeros(2, 2);
         assert!(a.add_assign(&c).is_err());
+    }
+
+    /// Naive triple-loop reference: `out[i][j] = Σ_k a[i][k] * b[k][j]`,
+    /// every term added in ascending `k` from `0.0`.
+    fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut acc = 0.0;
+                for k in 0..a.cols() {
+                    acc += a.get(i, k) * b.get(k, j);
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    /// Naive `a^T * b`: `out[i][j] = Σ_r a[r][i] * b[r][j]` in ascending `r`.
+    fn naive_t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        for i in 0..a.cols() {
+            for j in 0..b.cols() {
+                let mut acc = 0.0;
+                for r in 0..a.rows() {
+                    acc += a.get(r, i) * b.get(r, j);
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    /// Naive `d * w^T` as a dot product per element — the layout of a
+    /// linear layer's input gradient: `out[i][j] = Σ_k d[i][k] * w[j][k]`.
+    fn naive_matmul_t(d: &Matrix, w: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(d.rows(), w.rows());
+        for i in 0..d.rows() {
+            for j in 0..w.rows() {
+                let mut acc = 0.0;
+                for k in 0..d.cols() {
+                    acc += d.get(i, k) * w.get(j, k);
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    /// Seeded values with a heavy share of `0.0` and `-0.0` (ReLU outputs
+    /// and their gradients are full of both).
+    fn random(rows: usize, cols: usize, state: &mut u64) -> Matrix {
+        let mut data = Vec::with_capacity(rows * cols);
+        for _ in 0..rows * cols {
+            *state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let bits = *state >> 11;
+            data.push(match bits % 6 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => (bits as f64 / (1u64 << 53) as f64 - 0.5) * 8.0,
+            });
+        }
+        Matrix::from_vec(rows, cols, data).unwrap()
+    }
+
+    fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (k, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {k}: {g} vs {w}");
+        }
+    }
+
+    /// A reused output buffer: larger than any product below and full of
+    /// garbage, so a kernel that forgets to reshape or zero it fails.
+    fn dirty() -> Matrix {
+        Matrix::filled(13, 17, f64::NAN)
+    }
+
+    const SHAPES: [(usize, usize, usize); 9] = [
+        (0, 3, 4),
+        (1, 1, 1),
+        (1, 5, 3),
+        (3, 0, 2),
+        (4, 6, 0),
+        (2, 7, 5),
+        (5, 4, 9),
+        (9, 16, 8),
+        (7, 9, 1),
+    ];
+
+    #[test]
+    fn matmul_into_is_bitwise_naive() {
+        let mut state = 1;
+        for (n, k, m) in SHAPES {
+            let a = random(n, k, &mut state);
+            let b = random(k, m, &mut state);
+            let mut out = dirty();
+            a.matmul_into(&b, &mut out).unwrap();
+            assert_bits_eq(&out, &naive_matmul(&a, &b), "matmul_into");
+            assert_bits_eq(&a.matmul(&b).unwrap(), &out, "matmul");
+        }
+    }
+
+    #[test]
+    fn t_matmul_into_is_bitwise_naive() {
+        let mut state = 2;
+        for (n, k, m) in SHAPES {
+            let a = random(n, k, &mut state);
+            let b = random(n, m, &mut state);
+            let mut out = dirty();
+            a.t_matmul_into(&b, &mut out).unwrap();
+            assert_bits_eq(&out, &naive_t_matmul(&a, &b), "t_matmul_into");
+            assert_bits_eq(&a.t_matmul(&b).unwrap(), &out, "t_matmul");
+        }
+    }
+
+    #[test]
+    fn transposed_axpys_are_bitwise_the_dot_product() {
+        // The input-gradient path of a linear layer: d · Wᵀ as row axpys
+        // over a transposed copy of W, held in a reused buffer.
+        let mut state = 3;
+        for (n, k, m) in SHAPES {
+            let d = random(n, k, &mut state);
+            let w = random(m, k, &mut state);
+            let mut wt = dirty();
+            w.transpose_into(&mut wt);
+            assert_eq!(wt, w.transpose());
+            let mut dx = dirty();
+            d.matmul_into(&wt, &mut dx).unwrap();
+            let want = naive_matmul_t(&d, &w);
+            assert_bits_eq(&dx, &want, "d·Wᵀ");
+            assert_bits_eq(&d.matmul_t(&w).unwrap(), &want, "matmul_t");
+        }
+    }
+
+    #[test]
+    fn negative_zero_terms_leave_a_positive_zero() {
+        // Every product is -0.0: the plain dot product yields +0.0, and so
+        // must the kernels that skip zero multipliers.
+        let a = m(1, 2, &[-0.0, 0.0]);
+        let b = m(2, 1, &[1.0, -1.0]);
+        let want = naive_matmul(&a, &b);
+        assert_eq!(want.get(0, 0).to_bits(), 0.0f64.to_bits());
+        assert_bits_eq(&a.matmul(&b).unwrap(), &want, "matmul");
+        assert_bits_eq(&a.transpose().t_matmul(&b).unwrap(), &want, "t_matmul");
+        assert_bits_eq(&a.matmul_t(&b.transpose()).unwrap(), &want, "matmul_t");
+    }
+
+    #[test]
+    fn reset_zeros_reuses_and_reshapes() {
+        let mut a = dirty();
+        a.reset_zeros(2, 3);
+        assert_eq!(a, Matrix::zeros(2, 3));
+        a.reset_zeros(0, 5);
+        assert_eq!(a.shape(), (0, 5));
+        assert!(a.as_slice().is_empty());
+    }
+
+    #[test]
+    fn select_rows_into_overwrites_a_dirty_buffer() {
+        let a = m(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let mut out = dirty();
+        a.select_rows_into(&[2, 2, 0], &mut out).unwrap();
+        assert_eq!(out, m(3, 2, &[5.0, 6.0, 5.0, 6.0, 1.0, 2.0]));
+        assert!(a.select_rows_into(&[3], &mut out).is_err());
     }
 
     #[test]
