@@ -26,8 +26,9 @@
 //! * **Decoder fuzz + pinned bytes** — random single-byte mutations and
 //!   truncations over a journal holding every tag (1–14) always yield a
 //!   clean prefix of the original events, never a misparse or panic; a
-//!   checked-in byte fixture pins the tag-4/tag-11 wire format against
-//!   accidental drift.
+//!   checked-in byte fixture pins the tag-4/tag-11 wire format, and a
+//!   length-plus-checksum fixture pins a tag-14 frame that reaches every
+//!   checkpoint encoder branch, against accidental drift.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -1136,5 +1137,200 @@ fn pinned_frame_bytes_stay_decodable() {
     journal.extend_from_slice(tag11_bytes);
     let (decoded, dropped) = read_events(&journal);
     assert_eq!(decoded, vec![tag4_event, tag11_event]);
+    assert_eq!(dropped, 0);
+}
+
+/// One fully populated round record for the pinned checkpoint fixture.
+fn pinned_round(round: u32) -> vfl_market::RoundRecord {
+    vfl_market::RoundRecord {
+        round,
+        quote: vfl_market::QuotedPrice {
+            rate: 11.5 + round as f64,
+            base: 2.0,
+            cap: 20.0,
+        },
+        listing: round as usize,
+        bundle: BundleMask(0b11),
+        gain: 0.25,
+        payment: 4.875,
+        net_profit: 220.125,
+        cost_task: 0.2,
+        cost_data: 0.1,
+        final_offer: round > 1,
+    }
+}
+
+/// A hand-built checkpoint that reaches every branch of the tag-14
+/// encoder: owned and unowned markets, an open clearing window with one
+/// epoch record, one course, an `Ok` outcome with rounds, transcript and
+/// seller stamp, an `Ok` outcome without a seller, a failed session, and a
+/// demand with winner, epoch and clearing price whose quotes are
+/// `Standing`, `Closed` with and without `last`, and `Error`.
+fn pinned_checkpoint_event() -> ExchangeEvent {
+    use vfl_exchange::{
+        CandidateQuote, CheckpointMarket, CheckpointState, EpochEntry, EpochEntryKind, EpochRecord,
+        QuoteState, SellerId,
+    };
+    use vfl_market::{ClosedBy, FailureReason, MarketError, OutcomeStatus};
+    use vfl_sim::protocol::{GainReportMsg, Message, OfferMsg, QuoteMsg, SettleMsg, Transcript};
+
+    let mut transcript = Transcript::default();
+    transcript.push(Message::Quote(QuoteMsg {
+        rate: 12.5,
+        base: 2.0,
+        cap: 20.0,
+        round: 1,
+    }));
+    transcript.push(Message::Offer(OfferMsg::Bundle {
+        bundle: BundleMask(0b11),
+        is_final: false,
+        round: 1,
+    }));
+    transcript.push(Message::GainReport(GainReportMsg {
+        gain: 0.25,
+        round: 1,
+    }));
+    transcript.push(Message::Offer(OfferMsg::Withdraw { round: 2 }));
+    transcript.push(Message::Settle(SettleMsg::Pay {
+        amount: 4.875,
+        round: 2,
+    }));
+    transcript.set_seller("acme-data");
+    let sold = Outcome {
+        status: OutcomeStatus::Success {
+            by: ClosedBy::TaskParty,
+        },
+        rounds: vec![pinned_round(1), pinned_round(2)],
+        transcript,
+    };
+    let mut aborted = Transcript::default();
+    aborted.push(Message::Settle(SettleMsg::Abort { round: 1 }));
+    let unsold = Outcome {
+        status: OutcomeStatus::Failed {
+            reason: FailureReason::Cancelled,
+        },
+        rounds: vec![pinned_round(1)],
+        transcript: aborted,
+    };
+    ExchangeEvent::Checkpoint {
+        state: Box::new(CheckpointState {
+            next_session: 31,
+            next_demand: 9,
+            markets: vec![
+                CheckpointMarket {
+                    owner: None,
+                    eval_key: 42,
+                    private: false,
+                    listings: 4,
+                    catalog: BundleMask(0b1111),
+                    table_digest: 0xaaaa_bbbb,
+                    name: "table".into(),
+                },
+                CheckpointMarket {
+                    owner: Some(SellerId(0)),
+                    eval_key: (1 << 63) | 1,
+                    private: true,
+                    listings: 3,
+                    catalog: BundleMask(0b0111),
+                    table_digest: 0xcccc_dddd,
+                    name: "acme-data".into(),
+                },
+            ],
+            clearing: Some((4, 1, u32::MAX)),
+            epochs: vec![EpochRecord {
+                epoch: 2,
+                entries: vec![
+                    EpochEntry {
+                        demand: DemandId(5),
+                        kind: EpochEntryKind::Matched,
+                        winner: Some(0),
+                    },
+                    EpochEntry {
+                        demand: DemandId(6),
+                        kind: EpochEntryKind::Rolled,
+                        winner: None,
+                    },
+                ],
+                prices: vec![(SellerId(0), 3.75)],
+            }],
+            courses: vec![((42, 0b10), 0.125)],
+            sessions: vec![
+                (SessionId(7), Ok(Box::new(sold))),
+                (SessionId(8), Ok(Box::new(unsold))),
+                (
+                    SessionId(9),
+                    Err(MarketError::StrategyError("probe died".into())),
+                ),
+            ],
+            demands: vec![DemandReport {
+                demand: DemandId(5),
+                winner: Some(0),
+                quotes: vec![
+                    CandidateQuote {
+                        seller: SellerId(0),
+                        seller_name: "acme-data".into(),
+                        session: SessionId(12),
+                        state: QuoteState::Standing(pinned_round(2)),
+                        history: vec![pinned_round(1), pinned_round(2)],
+                    },
+                    CandidateQuote {
+                        seller: SellerId(1),
+                        seller_name: "globex-data".into(),
+                        session: SessionId(13),
+                        state: QuoteState::Closed {
+                            status: OutcomeStatus::Success {
+                                by: ClosedBy::DataParty,
+                            },
+                            last: Some(pinned_round(3)),
+                        },
+                        history: vec![pinned_round(3)],
+                    },
+                    CandidateQuote {
+                        seller: SellerId(2),
+                        seller_name: "initech-data".into(),
+                        session: SessionId(14),
+                        state: QuoteState::Closed {
+                            status: OutcomeStatus::Failed {
+                                reason: FailureReason::Cancelled,
+                            },
+                            last: None,
+                        },
+                        history: vec![],
+                    },
+                    CandidateQuote {
+                        seller: SellerId(3),
+                        seller_name: "umbrella-data".into(),
+                        session: SessionId(15),
+                        state: QuoteState::Error("course failure".into()),
+                        history: vec![],
+                    },
+                ],
+                epoch: Some(2),
+                clearing_price: Some(3.75),
+            }],
+        }),
+    }
+}
+
+/// Checked-in wire-format fixture for the tag-14 checkpoint frame: the
+/// frame length and the FNV-1a 64 of its full bytes, over a state that
+/// covers every encoder branch. Checkpoint frames are what recovery seeks
+/// to and what compaction keeps, so their bytes must never drift; the
+/// frame must also decode back to the same state.
+#[test]
+fn pinned_checkpoint_frame_bytes() {
+    let event = pinned_checkpoint_event();
+    let frame = event.encode_frame();
+    assert_eq!(frame.len(), 1246, "tag-14 frame length drifted");
+    assert_eq!(
+        vfl_market::session::wire::fnv64(&frame),
+        0x8234_8c6c_0585_2d57,
+        "tag-14 bytes drifted"
+    );
+    // Header: magic, version, payload length (frame minus the 6-byte
+    // header and the 8-byte checksum), then the tag byte.
+    assert_eq!(frame[..7], [0xEA, 1, 0xD0, 4, 0, 0, 14]);
+    let (decoded, dropped) = read_events(&frame);
+    assert_eq!(decoded, vec![event]);
     assert_eq!(dropped, 0);
 }
