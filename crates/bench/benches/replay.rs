@@ -8,8 +8,10 @@
 //! E10 — bounded-cost recovery: re-runs the same book checkpointing every
 //! `interval` demands, then measures what the checkpoints buy — events
 //! skipped at recovery, recover/resume wall time, and the compacted
-//! generation's size — and asserts the checkpointed run's winners are
-//! identical to the plain run's (checkpointing is pure observation).
+//! generation's size — and what they cost: total time inside
+//! `Exchange::checkpoint` and total checkpoint frame bytes. It asserts the
+//! checkpointed run's winners are identical to the plain run's
+//! (checkpointing is pure observation).
 //!
 //! Custom harness (no criterion): the unit of measurement is a whole
 //! drain, and the off/on pair must run the *identical* workload (same
@@ -301,14 +303,17 @@ fn main() {
         resumed_identical,
     );
     // ---- E10: checkpoint interval sweep ------------------------------------
-    // Checkpoint every `interval` demands and measure what that buys at
-    // recovery time: skipped events, recover/resume wall time, and the
-    // compacted generation's size. Results must stay bit-identical.
+    // Checkpoint every `interval` demands and measure what that costs
+    // (time inside `checkpoint`, frame bytes) and buys at recovery time:
+    // skipped events, recover/resume wall time, and the compacted
+    // generation's size. Results must stay bit-identical.
     println!("\n== E10 checkpoint sweep ({n_demands} demands, {N_SELLERS} sellers, 4 workers) ==");
     println!(
-        "{:>9} {:>12} {:>14} {:>14} {:>14} {:>11} {:>10}",
+        "{:>9} {:>12} {:>14} {:>17} {:>14} {:>14} {:>14} {:>11} {:>10}",
         "interval",
         "checkpoints",
+        "checkpoint_ms",
+        "checkpoint_bytes",
         "journal_bytes",
         "compact_bytes",
         "events_skipped",
@@ -327,6 +332,8 @@ fn main() {
         }
         let mut demand_map = HashMap::new();
         let mut checkpoints = 0usize;
+        let mut checkpoint_time = Duration::ZERO;
+        let mut checkpoint_bytes = 0usize;
         let mut submitted = 0usize;
         while submitted < n_demands {
             let batch = interval.min(n_demands - submitted);
@@ -338,7 +345,10 @@ fn main() {
             }
             submitted += batch;
             exchange.drain(4);
-            exchange.checkpoint().expect("drain-idle checkpoint");
+            let start = Instant::now();
+            let stats = exchange.checkpoint().expect("drain-idle checkpoint");
+            checkpoint_time += start.elapsed();
+            checkpoint_bytes += stats.bytes;
             checkpoints += 1;
         }
         // Checkpointing is pure observation: identical winners/outcomes.
@@ -385,10 +395,13 @@ fn main() {
             "final checkpoint compacts to itself"
         );
 
+        let checkpoint_ms = checkpoint_time.as_secs_f64() * 1e3;
         println!(
-            "{:>9} {:>12} {:>14} {:>14} {:>14} {:>11.3} {:>10.3}",
+            "{:>9} {:>12} {:>14.3} {:>17} {:>14} {:>14} {:>14} {:>11.3} {:>10.3}",
             interval,
             checkpoints,
+            checkpoint_ms,
+            checkpoint_bytes,
             bytes.len(),
             compact_bytes,
             report.events_skipped,
@@ -397,6 +410,7 @@ fn main() {
         );
         sweep_rows.push(format!(
             "    {{\"interval\": {interval}, \"checkpoints\": {checkpoints}, \
+             \"checkpoint_ms\": {checkpoint_ms:.3}, \"checkpoint_bytes\": {checkpoint_bytes}, \
              \"journal_bytes\": {}, \"compact_bytes\": {compact_bytes}, \
              \"events_skipped\": {}, \"recover_ms\": {recover_ms:.3}, \
              \"resume_ms\": {resume_ms:.3}}}",

@@ -68,8 +68,9 @@ use vfl_sim::BundleMask;
 use crate::cache::{CourseServe, SharedGainCache};
 use crate::clearing::{ClearingSpec, ClearingWindow, EpochRecord};
 use crate::journal::{
-    check_market_spec, CheckpointMarket, CheckpointState, CrashHook, CrashPoint, ExchangeEvent,
-    Journal, QuoteKind, RecoverError, ReplaySpec,
+    check_market_spec, put_checkpoint_demands, put_checkpoint_head, put_checkpoint_sessions,
+    put_frame, CheckpointHead, CheckpointMarket, CheckpointState, CrashHook, CrashPoint,
+    ExchangeEvent, Journal, QuoteKind, RecoverError, ReplaySpec,
 };
 use crate::matching::{
     Demand, DemandId, DemandReport, DemandState, DemandStatus, MatchBook, QuoteState,
@@ -176,6 +177,9 @@ pub struct CheckpointStats {
     pub courses: usize,
     /// Cleared epochs captured (the restored window resumes after them).
     pub epochs: usize,
+    /// Length of the appended checkpoint frame, header and checksum
+    /// included.
+    pub bytes: usize,
 }
 
 struct MarketEntry {
@@ -359,16 +363,52 @@ impl Exchange {
     /// telemetry attached, the append — serialize, frame, sink write —
     /// is timed into the `journal_append` stage.
     fn record_with(&self, make: impl FnOnce() -> ExchangeEvent) {
+        if self.journal.is_some() {
+            self.record(&make());
+        }
+    }
+
+    /// [`Self::record_with`] for an event the caller already built.
+    fn record(&self, event: &ExchangeEvent) {
         if let Some(journal) = &self.journal {
             match self.telemetry.as_deref() {
                 Some(t) => {
                     let start = t.now_ns();
-                    journal.append(&make());
+                    journal.append(event);
                     t.stages.journal_append.record(t.now_ns() - start);
                 }
-                None => journal.append(&make()),
+                None => journal.append(event),
             }
         }
+    }
+
+    /// Journals a session's [`ExchangeEvent::SessionConcluded`] record
+    /// (`failed_rounds` is what a hard error reports as its round count)
+    /// and returns the outcome's digest when one was computed for it — the
+    /// store keeps it so checkpoints never digest an outcome twice.
+    /// Unjournaled exchanges compute nothing and get `None`.
+    fn conclude(
+        &self,
+        session: SessionId,
+        result: &std::result::Result<Box<Outcome>, MarketError>,
+        failed_rounds: usize,
+    ) -> Option<u64> {
+        self.journal.as_ref()?;
+        let (status, rounds, digest) = match result {
+            Ok(outcome) => (
+                wire::status_code(outcome.status),
+                outcome.n_rounds() as u32,
+                wire::outcome_digest(outcome),
+            ),
+            Err(_) => (wire::STATUS_HARD_ERROR, failed_rounds as u32, 0),
+        };
+        self.record(&ExchangeEvent::SessionConcluded {
+            session,
+            status,
+            rounds,
+            digest,
+        });
+        result.is_ok().then_some(digest)
     }
 
     /// Installs (or clears) the fault-injection hook. The hook fires at
@@ -543,6 +583,10 @@ impl Exchange {
     /// [`Exchange::drain`] first). A mid-flight session cannot be
     /// serialized — its strategy state is code — so the quiescence check
     /// is what makes the snapshot complete rather than torn.
+    ///
+    /// The frame is encoded in place from the store and the match book
+    /// (nothing is cloned; see [`crate::journal`]'s checkpoint section),
+    /// and [`CheckpointStats::bytes`] reports its length.
     pub fn checkpoint(&self) -> Result<CheckpointStats> {
         let journal = self.journal.as_ref().ok_or_else(|| {
             MarketError::InvalidConfig(
@@ -578,18 +622,6 @@ impl Exchange {
                 )));
             }
         }
-        let sessions = self.store.snapshot_terminal().map_err(|live| {
-            MarketError::InvalidConfig(format!(
-                "checkpoint on a non-quiescent exchange: {live} sessions still live \
-                 (drain first)"
-            ))
-        })?;
-        let demands = self.match_book.snapshot_settled().map_err(|live| {
-            MarketError::InvalidConfig(format!(
-                "checkpoint on a non-quiescent exchange: {live} demands still \
-                 matching (drain first)"
-            ))
-        })?;
         // Registration stamps under the markets → sellers lock order (the
         // registration paths' order), so a racing registration lands
         // wholly before or wholly after the snapshot.
@@ -618,29 +650,68 @@ impl Exchange {
             let s = w.spec();
             (s.epoch_size as u32, s.capacity, s.max_rolls)
         });
-        let state = CheckpointState {
-            next_session: self.next_session.load(Ordering::Relaxed),
-            next_demand: self.match_book.next_id(),
-            markets: markets_stamp,
-            clearing,
-            epochs: self.epoch_history(),
-            courses: self.cache.entries(),
+        let courses = self.cache.entries();
+        // Encode the frame straight from the quiescent structures, each
+        // read in place under its own locks and released before the next
+        // is taken (store shards, then the match book — never nested).
+        // A non-quiescent store or book aborts mid-frame; the half-written
+        // buffer is dropped unappended.
+        let mut frame = Vec::new();
+        let (epochs, sessions, demands) = put_frame(&mut frame, |buf| -> Result<_> {
+            let epochs = {
+                let log = self.epoch_log.lock();
+                put_checkpoint_head(
+                    buf,
+                    &CheckpointHead {
+                        next_session: self.next_session.load(Ordering::Relaxed),
+                        next_demand: self.match_book.next_id(),
+                        markets: &markets_stamp,
+                        clearing,
+                        epochs: &log,
+                        courses: &courses,
+                    },
+                );
+                log.len()
+            };
+            let sessions = self
+                .store
+                .read_terminal(|sessions| {
+                    put_checkpoint_sessions(buf, sessions.iter().copied());
+                    sessions.len()
+                })
+                .map_err(|live| {
+                    MarketError::InvalidConfig(format!(
+                        "checkpoint on a non-quiescent exchange: {live} sessions still \
+                         live (drain first)"
+                    ))
+                })?;
+            let demands = self
+                .match_book
+                .read_settled(|demands| {
+                    let n = demands.len();
+                    put_checkpoint_demands(buf, demands);
+                    n
+                })
+                .map_err(|live| {
+                    MarketError::InvalidConfig(format!(
+                        "checkpoint on a non-quiescent exchange: {live} demands still \
+                         matching (drain first)"
+                    ))
+                })?;
+            Ok((epochs, sessions, demands))
+        })?;
+        let stats = CheckpointStats {
+            markets: markets_stamp.len(),
             sessions,
             demands,
-        };
-        let stats = CheckpointStats {
-            markets: state.markets.len(),
-            sessions: state.sessions.len(),
-            demands: state.demands.len(),
-            courses: state.courses.len(),
-            epochs: state.epochs.len(),
+            courses: courses.len(),
+            epochs,
+            bytes: frame.len(),
         };
         // Checkpoint critical section: snapshot captured but not appended,
         // then appended + flushed but success not yet observed.
         self.crash_point(CrashPoint::CheckpointSnapshotted);
-        journal.append(&ExchangeEvent::Checkpoint {
-            state: Box::new(state),
-        });
+        journal.write_frame(&frame);
         self.crash_point(CrashPoint::CheckpointRecorded);
         if let Some(e) = journal.last_error() {
             return Err(MarketError::InvalidConfig(format!(
@@ -703,7 +774,7 @@ impl Exchange {
     /// suffix…]` and chains.
     pub(crate) fn restore_checkpoint(
         &self,
-        state: CheckpointState,
+        state: Box<CheckpointState>,
         spec: &mut ReplaySpec,
     ) -> std::result::Result<(), RecoverError> {
         for (idx, m) in state.markets.iter().enumerate() {
@@ -811,35 +882,47 @@ impl Exchange {
                 ));
             }
         }
-        if !state.epochs.is_empty() {
-            let Some(window) = self.clearing.read().clone() else {
-                return Err(RecoverError::InconsistentJournal(
-                    "checkpoint records cleared epochs but no clearing window".into(),
-                ));
-            };
-            let next = state.epochs.last().expect("non-empty").epoch + 1;
-            window.skip_to_epoch(next);
-            *self.epoch_log.lock() = state.epochs.clone();
+        let window = self.clearing.read().clone();
+        if window.is_none() && !state.epochs.is_empty() {
+            return Err(RecoverError::InconsistentJournal(
+                "checkpoint records cleared epochs but no clearing window".into(),
+            ));
         }
-        for &((eval_key, bundle), gain) in &state.courses {
+        // Stamp the restored checkpoint into the fresh generation *after*
+        // every check passed and before anything is installed: the restore
+        // paths below journal nothing, so this frame is the new journal's
+        // first (`[Checkpoint, suffix…]`), and the state is then moved into
+        // the exchange instead of cloned.
+        let checkpoint = ExchangeEvent::Checkpoint { state };
+        self.record(&checkpoint);
+        let ExchangeEvent::Checkpoint { state } = checkpoint else {
+            unreachable!("built as a checkpoint just above")
+        };
+        let CheckpointState {
+            next_session,
+            next_demand,
+            epochs,
+            courses,
+            sessions,
+            demands,
+            ..
+        } = *state;
+        if let (Some(window), Some(last)) = (window, epochs.last()) {
+            window.skip_to_epoch(last.epoch + 1);
+            *self.epoch_log.lock() = epochs;
+        }
+        for ((eval_key, bundle), gain) in courses {
             self.cache.insert(eval_key, BundleMask(bundle), gain);
         }
-        for (sid, result) in &state.sessions {
+        for (sid, result) in sessions {
             self.next_session.fetch_max(sid.0 + 1, Ordering::Relaxed);
-            self.store.finish(*sid, result.clone());
+            self.store.finish(sid, result, None);
         }
-        for report in &state.demands {
-            self.match_book.restore_settled(report.clone());
+        for report in demands {
+            self.match_book.restore_settled(report);
         }
-        self.next_session
-            .fetch_max(state.next_session, Ordering::Relaxed);
-        self.match_book.bump_next(state.next_demand);
-        // Stamp the restored checkpoint into the fresh generation *after*
-        // every check passed (the restore paths above journal nothing, so
-        // this frame is the new journal's first — `[Checkpoint, suffix…]`).
-        self.record_with(|| ExchangeEvent::Checkpoint {
-            state: Box::new(state),
-        });
+        self.next_session.fetch_max(next_session, Ordering::Relaxed);
+        self.match_book.bump_next(next_demand);
         Ok(())
     }
 
@@ -1527,21 +1610,8 @@ impl Exchange {
                     if let Some(mut session) = self.store.check_out(sid) {
                         let result = session.cancel();
                         ExchangeMetrics::incr(&self.metrics.sessions_cancelled);
-                        match &result {
-                            Ok(outcome) => self.record_with(|| ExchangeEvent::SessionConcluded {
-                                session: sid,
-                                status: wire::status_code(outcome.status),
-                                rounds: outcome.n_rounds() as u32,
-                                digest: wire::outcome_digest(outcome),
-                            }),
-                            Err(_) => self.record_with(|| ExchangeEvent::SessionConcluded {
-                                session: sid,
-                                status: wire::STATUS_HARD_ERROR,
-                                rounds: 0,
-                                digest: 0,
-                            }),
-                        }
-                        self.store.finish(sid, result);
+                        let digest = self.conclude(sid, &result, 0);
+                        self.store.finish(sid, result, digest);
                         cancelled += 1;
                     } else {
                         debug_assert!(false, "losing candidate {sid} must be parked");
@@ -1815,13 +1885,9 @@ impl Exchange {
                     });
                     let history = tag.map(|_| outcome.rounds.clone());
                     self.crash_point(CrashPoint::Concluding(id));
-                    self.record_with(|| ExchangeEvent::SessionConcluded {
-                        session: id,
-                        status: wire::status_code(outcome.status),
-                        rounds: outcome.n_rounds() as u32,
-                        digest: wire::outcome_digest(&outcome),
-                    });
-                    self.store.finish(id, Ok(outcome));
+                    let result = Ok(outcome);
+                    let digest = self.conclude(id, &result, 0);
+                    self.store.finish(id, result, digest);
                     let cancelled = match (tag, quote, history) {
                         (Some(tag), Some(quote), Some(history)) => {
                             self.report_quote(tag.demand, tag.slot, quote, history)
@@ -1843,13 +1909,9 @@ impl Exchange {
                     let history = tag.map(|_| session.round_history());
                     let msg = e.to_string();
                     self.crash_point(CrashPoint::Concluding(id));
-                    self.record_with(|| ExchangeEvent::SessionConcluded {
-                        session: id,
-                        status: wire::STATUS_HARD_ERROR,
-                        rounds: session.rounds_so_far() as u32,
-                        digest: 0,
-                    });
-                    self.store.finish(id, Err(e));
+                    let result = Err(e);
+                    self.conclude(id, &result, session.rounds_so_far());
+                    self.store.finish(id, result, None);
                     let cancelled = match (tag, history) {
                         (Some(tag), Some(history)) => {
                             self.report_quote(tag.demand, tag.slot, QuoteState::Error(msg), history)
@@ -1972,7 +2034,7 @@ mod tests {
                 .check_out(sid)
                 .expect("parked losers are checked in");
             let result = session.cancel();
-            exchange.store.finish(sid, result);
+            exchange.store.finish(sid, result, None);
         };
         let wake_side = |exchange: &Exchange, key: (u64, BundleMask)| {
             // Exactly what the trainer does after landing (or failing) the

@@ -102,6 +102,15 @@
 //! complete checkpoint or genesis: checkpointing can never lose journaled
 //! events, only fail to accelerate them.
 //!
+//! **Encoding.** The frame is written straight from the quiescent
+//! structures, read in place under their locks and in id order, into one
+//! frame buffer — no outcome or report is cloned — by the same tag-14
+//! writer that encodes a decoded [`CheckpointState`]. Outcome digests
+//! already computed for [`ExchangeEvent::SessionConcluded`] records are
+//! reused. Failed-session errors and [`QuoteState::Error`] texts are
+//! capped at [`MAX_TEXT_BYTES`] (cut on a char boundary); shorter texts
+//! encode like every other journal string.
+//!
 //! **Compaction.** [`Journal::compact`] rewrites a snapshot of the
 //! journal into a fresh sink as `[Checkpoint, suffix…]`, dropping the
 //! history the checkpoint summarizes. The old generation is never
@@ -116,7 +125,9 @@
 //! settlement ledger an operator reconciles before switching.
 
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::io::Write;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use vfl_market::session::wire;
@@ -458,6 +469,42 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(bytes);
 }
 
+/// Longest byte length a journaled error text keeps: the `u16` length
+/// prefix's range. Names are refused at registration when longer; error
+/// texts (a failed session's [`MarketError`] message, a
+/// [`QuoteState::Error`] text) come from strategies and providers, so the
+/// checkpoint writer cuts a longer one to its longest prefix that fits
+/// and ends on a char boundary.
+pub const MAX_TEXT_BYTES: usize = u16::MAX as usize;
+
+/// [`put_str`] for free-form error texts (a failed session's
+/// [`MarketError`] message, a [`QuoteState::Error`] text): a text longer
+/// than [`MAX_TEXT_BYTES`] is cut to its longest prefix that fits and ends
+/// on a char boundary. Shorter texts encode exactly as [`put_str`] would.
+fn put_capped_str(buf: &mut Vec<u8>, s: &str) {
+    let mut end = s.len().min(MAX_TEXT_BYTES);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    put_str(buf, &s[..end]);
+}
+
+/// Writes one complete frame — header, the payload `payload` appends, and
+/// the checksum — onto the end of `buf` in one pass: the length field is
+/// patched once the payload is in place, and the checksum covers the
+/// frame's own bytes. Returns whatever `payload` returns (a fallible
+/// writer's error leaves a half-written frame the caller discards).
+pub(crate) fn put_frame<R>(buf: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    let start = buf.len();
+    buf.extend_from_slice(&[MAGIC, VERSION, 0, 0, 0, 0]);
+    let out = payload(buf);
+    let len = (buf.len() - start - HEADER) as u32;
+    buf[start + 2..start + HEADER].copy_from_slice(&len.to_le_bytes());
+    let sum = wire::fnv64(&buf[start..]);
+    put_u64(buf, sum);
+    out
+}
+
 /// Body encoding of one [`EpochRecord`] — shared verbatim by the
 /// [`ExchangeEvent::EpochCleared`] payload and the epoch ledger inside a
 /// checkpoint frame, so the two can never drift apart.
@@ -486,6 +533,181 @@ fn error_code(e: &MarketError) -> (u8, &str) {
         MarketError::InvalidConfig(msg) => (1, msg),
         MarketError::StrategyError(msg) => (2, msg),
         MarketError::Gain(msg) => (3, msg),
+    }
+}
+
+/// One terminal session as the checkpoint writer reads it: the id, the
+/// outcome or hard error (borrowed in place), and the outcome's
+/// [`wire::outcome_digest`] when the caller already holds it (`None`: the
+/// writer digests the outcome itself).
+pub(crate) type TerminalRef<'a> = (SessionId, Result<&'a Outcome, &'a MarketError>, Option<u64>);
+
+/// The head of a tag-14 payload (everything before the session table),
+/// borrowed from wherever the snapshot lives: a decoded
+/// [`CheckpointState`] or the live, quiescent exchange.
+pub(crate) struct CheckpointHead<'a> {
+    pub(crate) next_session: u64,
+    pub(crate) next_demand: u64,
+    pub(crate) markets: &'a [CheckpointMarket],
+    pub(crate) clearing: Option<(u32, u32, u32)>,
+    pub(crate) epochs: &'a [EpochRecord],
+    pub(crate) courses: &'a [((u64, u64), f64)],
+}
+
+impl<'a> CheckpointHead<'a> {
+    fn of(state: &'a CheckpointState) -> Self {
+        CheckpointHead {
+            next_session: state.next_session,
+            next_demand: state.next_demand,
+            markets: &state.markets,
+            clearing: state.clearing,
+            epochs: &state.epochs,
+            courses: &state.courses,
+        }
+    }
+}
+
+/// Tag byte, id counters, registration stamps, clearing shape, epoch
+/// ledger and course cache of a tag-14 payload.
+///
+/// The tag-14 payload writer is this function followed by
+/// [`put_checkpoint_sessions`] and [`put_checkpoint_demands`], all over
+/// borrowed inputs. The [`ExchangeEvent::Checkpoint`] arm calls the three
+/// on a decoded [`CheckpointState`] (recovery's re-journal, compaction);
+/// [`Exchange::checkpoint`] calls them on the live exchange, each under
+/// the locks of the structure it reads.
+pub(crate) fn put_checkpoint_head(buf: &mut Vec<u8>, head: &CheckpointHead<'_>) {
+    buf.push(14);
+    put_u64(buf, head.next_session);
+    put_u64(buf, head.next_demand);
+    put_u32(buf, head.markets.len() as u32);
+    for m in head.markets {
+        match m.owner {
+            Some(seller) => {
+                buf.push(1);
+                put_u32(buf, seller.0 as u32);
+            }
+            None => buf.push(0),
+        }
+        put_u64(buf, m.eval_key);
+        buf.push(m.private as u8);
+        put_u32(buf, m.listings);
+        put_u64(buf, m.catalog.0);
+        put_u64(buf, m.table_digest);
+        put_str(buf, &m.name);
+    }
+    match head.clearing {
+        Some((epoch_size, capacity, max_rolls)) => {
+            buf.push(1);
+            put_u32(buf, epoch_size);
+            put_u32(buf, capacity);
+            put_u32(buf, max_rolls);
+        }
+        None => buf.push(0),
+    }
+    put_u32(buf, head.epochs.len() as u32);
+    for record in head.epochs {
+        put_epoch_record(buf, record);
+    }
+    put_u32(buf, head.courses.len() as u32);
+    for &((eval_key, bundle), gain) in head.courses {
+        put_u64(buf, eval_key);
+        put_u64(buf, bundle);
+        put_u64(buf, gain.to_bits());
+    }
+}
+
+/// The session table of a tag-14 payload, in the iterator's order (id
+/// order). Error texts are capped at [`MAX_TEXT_BYTES`].
+pub(crate) fn put_checkpoint_sessions<'a>(
+    buf: &mut Vec<u8>,
+    sessions: impl ExactSizeIterator<Item = TerminalRef<'a>>,
+) {
+    put_u32(buf, sessions.len() as u32);
+    for (session, result, digest) in sessions {
+        put_u64(buf, session.0);
+        match result {
+            Ok(outcome) => {
+                buf.push(0);
+                wire::put_outcome(buf, outcome);
+                // Per-outcome digest: the decoder re-derives it from the
+                // bytes it just read, so a checkpoint whose stored outcome
+                // was tampered with (but whose frame checksum was
+                // refreshed) still fails to decode.
+                put_u64(buf, digest.unwrap_or_else(|| wire::outcome_digest(outcome)));
+            }
+            Err(e) => {
+                buf.push(1);
+                let (code, msg) = error_code(e);
+                buf.push(code);
+                put_capped_str(buf, msg);
+            }
+        }
+    }
+}
+
+/// The demand table of a tag-14 payload, in the iterator's order (id
+/// order). `demands` may yield plain references or lock guards, so the
+/// live exchange encodes each report under its own demand lock.
+pub(crate) fn put_checkpoint_demands<R: Deref<Target = DemandReport>>(
+    buf: &mut Vec<u8>,
+    demands: impl ExactSizeIterator<Item = R>,
+) {
+    put_u32(buf, demands.len() as u32);
+    for report in demands {
+        put_u64(buf, report.demand.0);
+        match report.winner {
+            Some(w) => {
+                buf.push(1);
+                put_u32(buf, w as u32);
+            }
+            None => buf.push(0),
+        }
+        match report.epoch {
+            Some(epoch) => {
+                buf.push(1);
+                put_u64(buf, epoch);
+            }
+            None => buf.push(0),
+        }
+        match report.clearing_price {
+            Some(price) => {
+                buf.push(1);
+                put_u64(buf, price.to_bits());
+            }
+            None => buf.push(0),
+        }
+        put_u32(buf, report.quotes.len() as u32);
+        for q in &report.quotes {
+            put_u32(buf, q.seller.0 as u32);
+            put_str(buf, &q.seller_name);
+            put_u64(buf, q.session.0);
+            match &q.state {
+                QuoteState::Standing(record) => {
+                    buf.push(0);
+                    wire::put_round_record(buf, record);
+                }
+                QuoteState::Closed { status, last } => {
+                    buf.push(1);
+                    put_u16(buf, wire::status_code(*status));
+                    match last {
+                        Some(record) => {
+                            buf.push(1);
+                            wire::put_round_record(buf, record);
+                        }
+                        None => buf.push(0),
+                    }
+                }
+                QuoteState::Error(msg) => {
+                    buf.push(2);
+                    put_capped_str(buf, msg);
+                }
+            }
+            put_u32(buf, q.history.len() as u32);
+            for record in &q.history {
+                wire::put_round_record(buf, record);
+            }
+        }
     }
 }
 
@@ -583,9 +805,8 @@ fn read_epoch_record(r: &mut Reader<'_>) -> Option<EpochRecord> {
 }
 
 impl ExchangeEvent {
-    /// Encodes the event's payload (tag byte + fields, no frame).
-    fn payload(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(32);
+    /// Appends the event's payload (tag byte + fields, no frame) to `buf`.
+    fn put_payload(&self, buf: &mut Vec<u8>) {
         match self {
             ExchangeEvent::MarketRegistered {
                 market,
@@ -597,13 +818,13 @@ impl ExchangeEvent {
                 name,
             } => {
                 buf.push(1);
-                put_u32(&mut buf, market.0 as u32);
-                put_u64(&mut buf, *eval_key);
+                put_u32(buf, market.0 as u32);
+                put_u64(buf, *eval_key);
                 buf.push(*private as u8);
-                put_u32(&mut buf, *listings);
-                put_u64(&mut buf, catalog.0);
-                put_u64(&mut buf, *table_digest);
-                put_str(&mut buf, name);
+                put_u32(buf, *listings);
+                put_u64(buf, catalog.0);
+                put_u64(buf, *table_digest);
+                put_str(buf, name);
             }
             ExchangeEvent::SellerRegistered {
                 seller,
@@ -616,14 +837,14 @@ impl ExchangeEvent {
                 name,
             } => {
                 buf.push(2);
-                put_u32(&mut buf, seller.0 as u32);
-                put_u32(&mut buf, market.0 as u32);
-                put_u64(&mut buf, *eval_key);
+                put_u32(buf, seller.0 as u32);
+                put_u32(buf, market.0 as u32);
+                put_u64(buf, *eval_key);
                 buf.push(*private as u8);
-                put_u32(&mut buf, *listings);
-                put_u64(&mut buf, catalog.0);
-                put_u64(&mut buf, *table_digest);
-                put_str(&mut buf, name);
+                put_u32(buf, *listings);
+                put_u64(buf, catalog.0);
+                put_u64(buf, *table_digest);
+                put_str(buf, name);
             }
             ExchangeEvent::SessionSubmitted {
                 session,
@@ -631,9 +852,9 @@ impl ExchangeEvent {
                 cfg_digest,
             } => {
                 buf.push(3);
-                put_u64(&mut buf, session.0);
-                put_u32(&mut buf, market.0 as u32);
-                put_u64(&mut buf, *cfg_digest);
+                put_u64(buf, session.0);
+                put_u32(buf, market.0 as u32);
+                put_u64(buf, *cfg_digest);
             }
             ExchangeEvent::DemandSubmitted {
                 demand,
@@ -646,14 +867,14 @@ impl ExchangeEvent {
                 // Two tags, one layout: tag 4 = immediate (the original
                 // format, old journals keep decoding), tag 11 = epoch.
                 buf.push(if *epoch_mode { 11 } else { 4 });
-                put_u64(&mut buf, demand.0);
-                put_u64(&mut buf, wanted.0);
-                put_u32(&mut buf, *probe_rounds);
-                put_u64(&mut buf, *cfg_digest);
-                put_u32(&mut buf, candidates.len() as u32);
+                put_u64(buf, demand.0);
+                put_u64(buf, wanted.0);
+                put_u32(buf, *probe_rounds);
+                put_u64(buf, *cfg_digest);
+                put_u32(buf, candidates.len() as u32);
                 for (seller, session) in candidates {
-                    put_u32(&mut buf, seller.0 as u32);
-                    put_u64(&mut buf, session.0);
+                    put_u32(buf, seller.0 as u32);
+                    put_u64(buf, session.0);
                 }
             }
             ExchangeEvent::ClearingOpened {
@@ -662,17 +883,17 @@ impl ExchangeEvent {
                 max_rolls,
             } => {
                 buf.push(12);
-                put_u32(&mut buf, *epoch_size);
-                put_u32(&mut buf, *capacity);
-                put_u32(&mut buf, *max_rolls);
+                put_u32(buf, *epoch_size);
+                put_u32(buf, *capacity);
+                put_u32(buf, *max_rolls);
             }
             ExchangeEvent::EpochCleared { record } => {
                 buf.push(13);
-                put_epoch_record(&mut buf, record);
+                put_epoch_record(buf, record);
             }
             ExchangeEvent::SessionDispatched { session } => {
                 buf.push(5);
-                put_u64(&mut buf, session.0);
+                put_u64(buf, session.0);
             }
             ExchangeEvent::CourseRequested {
                 session,
@@ -680,9 +901,9 @@ impl ExchangeEvent {
                 bundle,
             } => {
                 buf.push(6);
-                put_u64(&mut buf, session.0);
-                put_u64(&mut buf, *eval_key);
-                put_u64(&mut buf, bundle.0);
+                put_u64(buf, session.0);
+                put_u64(buf, *eval_key);
+                put_u64(buf, bundle.0);
             }
             ExchangeEvent::CourseServed {
                 eval_key,
@@ -690,9 +911,9 @@ impl ExchangeEvent {
                 gain,
             } => {
                 buf.push(7);
-                put_u64(&mut buf, *eval_key);
-                put_u64(&mut buf, bundle.0);
-                put_u64(&mut buf, gain.to_bits());
+                put_u64(buf, *eval_key);
+                put_u64(buf, bundle.0);
+                put_u64(buf, gain.to_bits());
             }
             ExchangeEvent::QuoteRecorded {
                 demand,
@@ -701,18 +922,18 @@ impl ExchangeEvent {
                 rounds,
             } => {
                 buf.push(8);
-                put_u64(&mut buf, demand.0);
-                put_u32(&mut buf, *slot);
+                put_u64(buf, demand.0);
+                put_u32(buf, *slot);
                 buf.push(kind.code());
-                put_u32(&mut buf, *rounds);
+                put_u32(buf, *rounds);
             }
             ExchangeEvent::DemandSettled { demand, winner } => {
                 buf.push(9);
-                put_u64(&mut buf, demand.0);
+                put_u64(buf, demand.0);
                 match winner {
                     Some(w) => {
                         buf.push(1);
-                        put_u32(&mut buf, *w);
+                        put_u32(buf, *w);
                     }
                     None => buf.push(0),
                 }
@@ -725,17 +946,17 @@ impl ExchangeEvent {
                 retry_after,
             } => {
                 buf.push(15);
-                put_u64(&mut buf, demand.0);
-                put_u64(&mut buf, wanted.0);
-                put_u64(&mut buf, *cfg_digest);
-                put_u32(&mut buf, *queue_depth);
+                put_u64(buf, demand.0);
+                put_u64(buf, wanted.0);
+                put_u64(buf, *cfg_digest);
+                put_u32(buf, *queue_depth);
                 // Optional trailing hint (append-only wire evolution):
                 // legacy frames end at queue_depth and decode hint-less.
                 match retry_after {
                     None => buf.push(0),
                     Some(wait) => {
                         buf.push(1);
-                        put_u32(&mut buf, *wait);
+                        put_u32(buf, *wait);
                     }
                 }
             }
@@ -746,131 +967,23 @@ impl ExchangeEvent {
                 digest,
             } => {
                 buf.push(10);
-                put_u64(&mut buf, session.0);
-                put_u16(&mut buf, *status);
-                put_u32(&mut buf, *rounds);
-                put_u64(&mut buf, *digest);
+                put_u64(buf, session.0);
+                put_u16(buf, *status);
+                put_u32(buf, *rounds);
+                put_u64(buf, *digest);
             }
             ExchangeEvent::Checkpoint { state } => {
-                buf.push(14);
-                put_u64(&mut buf, state.next_session);
-                put_u64(&mut buf, state.next_demand);
-                put_u32(&mut buf, state.markets.len() as u32);
-                for m in &state.markets {
-                    match m.owner {
-                        Some(seller) => {
-                            buf.push(1);
-                            put_u32(&mut buf, seller.0 as u32);
-                        }
-                        None => buf.push(0),
-                    }
-                    put_u64(&mut buf, m.eval_key);
-                    buf.push(m.private as u8);
-                    put_u32(&mut buf, m.listings);
-                    put_u64(&mut buf, m.catalog.0);
-                    put_u64(&mut buf, m.table_digest);
-                    put_str(&mut buf, &m.name);
-                }
-                match state.clearing {
-                    Some((epoch_size, capacity, max_rolls)) => {
-                        buf.push(1);
-                        put_u32(&mut buf, epoch_size);
-                        put_u32(&mut buf, capacity);
-                        put_u32(&mut buf, max_rolls);
-                    }
-                    None => buf.push(0),
-                }
-                put_u32(&mut buf, state.epochs.len() as u32);
-                for record in &state.epochs {
-                    put_epoch_record(&mut buf, record);
-                }
-                put_u32(&mut buf, state.courses.len() as u32);
-                for &((eval_key, bundle), gain) in &state.courses {
-                    put_u64(&mut buf, eval_key);
-                    put_u64(&mut buf, bundle);
-                    put_u64(&mut buf, gain.to_bits());
-                }
-                put_u32(&mut buf, state.sessions.len() as u32);
-                for (session, result) in &state.sessions {
-                    put_u64(&mut buf, session.0);
-                    match result {
-                        Ok(outcome) => {
-                            buf.push(0);
-                            wire::put_outcome(&mut buf, outcome);
-                            // Per-outcome digest: the decoder re-derives it
-                            // from the bytes it just read, so a checkpoint
-                            // whose stored outcome was tampered with (but
-                            // whose frame checksum was refreshed) still
-                            // fails to decode.
-                            put_u64(&mut buf, wire::outcome_digest(outcome));
-                        }
-                        Err(e) => {
-                            buf.push(1);
-                            let (code, msg) = error_code(e);
-                            buf.push(code);
-                            put_str(&mut buf, msg);
-                        }
-                    }
-                }
-                put_u32(&mut buf, state.demands.len() as u32);
-                for report in &state.demands {
-                    put_u64(&mut buf, report.demand.0);
-                    match report.winner {
-                        Some(w) => {
-                            buf.push(1);
-                            put_u32(&mut buf, w as u32);
-                        }
-                        None => buf.push(0),
-                    }
-                    match report.epoch {
-                        Some(epoch) => {
-                            buf.push(1);
-                            put_u64(&mut buf, epoch);
-                        }
-                        None => buf.push(0),
-                    }
-                    match report.clearing_price {
-                        Some(price) => {
-                            buf.push(1);
-                            put_u64(&mut buf, price.to_bits());
-                        }
-                        None => buf.push(0),
-                    }
-                    put_u32(&mut buf, report.quotes.len() as u32);
-                    for q in &report.quotes {
-                        put_u32(&mut buf, q.seller.0 as u32);
-                        put_str(&mut buf, &q.seller_name);
-                        put_u64(&mut buf, q.session.0);
-                        match &q.state {
-                            QuoteState::Standing(record) => {
-                                buf.push(0);
-                                wire::put_round_record(&mut buf, record);
-                            }
-                            QuoteState::Closed { status, last } => {
-                                buf.push(1);
-                                put_u16(&mut buf, wire::status_code(*status));
-                                match last {
-                                    Some(record) => {
-                                        buf.push(1);
-                                        wire::put_round_record(&mut buf, record);
-                                    }
-                                    None => buf.push(0),
-                                }
-                            }
-                            QuoteState::Error(msg) => {
-                                buf.push(2);
-                                put_str(&mut buf, msg);
-                            }
-                        }
-                        put_u32(&mut buf, q.history.len() as u32);
-                        for record in &q.history {
-                            wire::put_round_record(&mut buf, record);
-                        }
-                    }
-                }
+                put_checkpoint_head(buf, &CheckpointHead::of(state));
+                put_checkpoint_sessions(
+                    buf,
+                    state
+                        .sessions
+                        .iter()
+                        .map(|(id, result)| (*id, result.as_deref(), None)),
+                );
+                put_checkpoint_demands(buf, state.demands.iter());
             }
         }
-        buf
     }
 
     /// Decodes one payload. `None` for unknown tags or malformed fields
@@ -1123,17 +1236,17 @@ impl ExchangeEvent {
         Some(event)
     }
 
+    /// Appends the event as one complete frame (header + payload +
+    /// checksum) to `buf`, exactly as [`Journal::append`] writes it.
+    fn put_frame(&self, buf: &mut Vec<u8>) {
+        put_frame(buf, |buf| self.put_payload(buf));
+    }
+
     /// Encodes the event as one complete frame (header + payload +
     /// checksum), exactly as [`Journal::append`] writes it.
     pub fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.payload();
-        let mut frame = Vec::with_capacity(HEADER + payload.len() + TRAILER);
-        frame.push(MAGIC);
-        frame.push(VERSION);
-        put_u32(&mut frame, payload.len() as u32);
-        frame.extend_from_slice(&payload);
-        let sum = wire::fnv64(&frame);
-        put_u64(&mut frame, sum);
+        let mut frame = Vec::new();
+        self.put_frame(&mut frame);
         frame
     }
 }
@@ -1252,6 +1365,21 @@ struct JournalInner {
 /// write; the truncation rule in the module doc handles exactly that
 /// case. A journal can be [`Journal::seal`]ed to simulate (or enforce)
 /// crash-stop durability: sealed journals drop every further append.
+///
+/// **Encoding.** [`Journal::append`] writes a frame's header, payload and
+/// checksum in one pass into the calling thread's reused scratch buffer,
+/// outside the sink lock, so steady-state appends allocate nothing
+/// ([`ExchangeEvent::encode_frame`] is a thin wrapper over the same
+/// writer). Checkpoint frames have one payload writer that reads borrowed
+/// inputs: [`Exchange::checkpoint`] feeds it the live store and match
+/// book in place, in id order, and the [`ExchangeEvent::Checkpoint`] arm
+/// feeds it a decoded [`CheckpointState`] (recovery's re-journal,
+/// [`Journal::compact`]). On journaled exchanges each terminal session
+/// keeps the outcome digest its [`ExchangeEvent::SessionConcluded`] record
+/// computed, and the checkpoint reuses it. Error texts longer than
+/// [`MAX_TEXT_BYTES`] are capped in checkpoint frames. None of this
+/// changes the bytes: every path writes the frames the format above
+/// defines, bit for bit.
 pub struct Journal {
     inner: Mutex<JournalInner>,
     sealed: AtomicBool,
@@ -1279,11 +1407,35 @@ impl Journal {
     /// Appends one event (no-op once sealed). I/O errors do not unwind
     /// into the worker pool; the first one is latched and readable via
     /// [`Journal::last_error`].
+    ///
+    /// The frame is encoded outside the sink lock, in one pass, into the
+    /// calling thread's reused scratch buffer: no allocation per frame
+    /// once the buffer has grown to the thread's usual frame size.
     pub fn append(&self, event: &ExchangeEvent) {
+        /// Scratch capacity kept between appends; a larger buffer (a
+        /// checkpoint re-journaled at recovery) is released after use.
+        const SCRATCH_KEEP: usize = 64 << 10;
+        thread_local! {
+            static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+        }
         if self.sealed.load(Ordering::Acquire) {
             return;
         }
-        let frame = event.encode_frame();
+        SCRATCH.with(|scratch| {
+            let mut frame = scratch.borrow_mut();
+            frame.clear();
+            event.put_frame(&mut frame);
+            self.write_frame(&frame);
+            if frame.capacity() > SCRATCH_KEEP {
+                *frame = Vec::new();
+            }
+        });
+    }
+
+    /// Writes one complete frame (built by [`put_frame`]) and flushes it
+    /// under the sink lock; the write half of [`Journal::append`], also
+    /// used by [`Exchange::checkpoint`] for the frame it encodes in place.
+    pub(crate) fn write_frame(&self, frame: &[u8]) {
         let mut inner = self.inner.lock();
         // Re-check under the sink lock: `seal` also takes it, so every
         // append either completed before the seal or observes it — no
@@ -1293,7 +1445,7 @@ impl Journal {
         }
         let result = inner
             .sink
-            .write_all(&frame)
+            .write_all(frame)
             .and_then(|()| inner.sink.flush());
         match result {
             Ok(()) => {
@@ -1381,17 +1533,19 @@ impl Journal {
             return Err(CompactError::NoCheckpoint);
         };
         let io = |e: std::io::Error| CompactError::Io(e.to_string());
-        sink.write_all(&events[at].encode_frame())
-            .and_then(|()| sink.flush())
-            .map_err(io)?;
+        let mut frame = Vec::new();
+        let mut write = |event: &ExchangeEvent, sink: &mut Box<dyn Write + Send>| {
+            frame.clear();
+            event.put_frame(&mut frame);
+            sink.write_all(&frame).and_then(|()| sink.flush())
+        };
+        write(&events[at], &mut sink).map_err(io)?;
         if let Some(hook) = hook {
             hook(&CrashPoint::CompactionRewrite);
         }
         let mut written = 1u64;
         for event in &events[at + 1..] {
-            sink.write_all(&event.encode_frame())
-                .and_then(|()| sink.flush())
-                .map_err(io)?;
+            write(event, &mut sink).map_err(io)?;
             written += 1;
         }
         let journal = Arc::new(Journal::new(sink));
@@ -1816,7 +1970,7 @@ impl Exchange {
             report.sessions_restored = state.sessions.len();
             report.demands_restored = state.demands.len();
             report.clearing_opened = state.clearing.is_some();
-            exchange.restore_checkpoint(*state, &mut spec)?;
+            exchange.restore_checkpoint(state, &mut spec)?;
             events = suffix;
         }
         if let (Some(t), Some(start)) = (exchange.telemetry(), restore_start) {
@@ -2424,6 +2578,35 @@ mod tests {
                 digest: 0x1234_5678,
             },
         ]
+    }
+
+    #[test]
+    fn error_texts_are_capped_on_a_char_boundary() {
+        let encode = |text: &str| {
+            let mut buf = Vec::new();
+            put_capped_str(&mut buf, text);
+            buf
+        };
+        // Up to the cap, capped texts encode exactly as plain strings.
+        for len in [0, 1, MAX_TEXT_BYTES - 1, MAX_TEXT_BYTES] {
+            let text = "x".repeat(len);
+            let mut plain = Vec::new();
+            put_str(&mut plain, &text);
+            assert_eq!(encode(&text), plain, "len {len}");
+        }
+        // Past it, the longest fitting prefix that ends on a char boundary.
+        let ascii = "y".repeat(MAX_TEXT_BYTES + 10);
+        let mut expected = Vec::new();
+        put_str(&mut expected, &ascii[..MAX_TEXT_BYTES]);
+        assert_eq!(encode(&ascii), expected);
+        let wide = "€".repeat(30_000); // 3-byte chars, 90 000 bytes
+        let mut expected = Vec::new();
+        put_str(&mut expected, &wide[..MAX_TEXT_BYTES]); // 65 535 = 3 × 21 845
+        assert_eq!(encode(&wide), expected);
+        let wide = format!("a{wide}"); // shifts the cap into a char
+        let mut expected = Vec::new();
+        put_str(&mut expected, &wide[..MAX_TEXT_BYTES - 2]);
+        assert_eq!(encode(&wide), expected);
     }
 
     #[test]

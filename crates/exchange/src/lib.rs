@@ -1142,4 +1142,200 @@ mod tests {
         };
         assert_eq!(run(1), run(4));
     }
+
+    /// Every terminal session's visible state: `Done` outcomes by value,
+    /// `Failed` texts, in the order of `ids`.
+    fn terminal_view(exchange: &Exchange, ids: &[SessionId]) -> Vec<Result<Outcome, String>> {
+        ids.iter()
+            .map(|&sid| match exchange.poll(sid) {
+                Some(SessionStatus::Done(outcome)) => Ok(*outcome),
+                Some(SessionStatus::Failed(msg)) => Err(msg),
+                other => panic!("session {sid} is not terminal: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// The checkpoint frame at the end of `bytes`, decoded, plus its raw
+    /// bytes.
+    fn last_checkpoint(bytes: &[u8]) -> (CheckpointState, Vec<u8>) {
+        let boundaries = frame_boundaries(bytes);
+        let start = boundaries[boundaries.len() - 2];
+        let (mut events, dropped) = read_events(bytes);
+        assert_eq!(dropped, 0);
+        match events.pop() {
+            Some(ExchangeEvent::Checkpoint { state }) => (*state, bytes[start..].to_vec()),
+            other => panic!("the last frame is not a checkpoint: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn checkpoints_are_observe_only_and_respect_take() {
+        let world = journaled_world();
+        let extra: Vec<DemandId> = (10..13)
+            .map(|seed| world.exchange.submit_demand(demand(seed, 2)).unwrap())
+            .collect();
+        world.exchange.drain(2);
+        let mut demands = vec![world.did];
+        demands.extend(&extra);
+        let reports: Vec<DemandReport> = demands
+            .iter()
+            .map(|&did| match world.exchange.demand_status(did) {
+                Some(DemandStatus::Settled(report)) => report,
+                other => panic!("demand {did} not settled: {other:?}"),
+            })
+            .collect();
+        let mut sessions = world.sids.clone();
+        for report in &reports {
+            sessions.extend(report.quotes.iter().map(|q| q.session));
+        }
+        let before = terminal_view(&world.exchange, &sessions);
+
+        // Observe-only: the checkpoint changes nothing poll/take can see.
+        let first = world.exchange.checkpoint().unwrap();
+        assert_eq!(first.sessions, sessions.len());
+        assert_eq!(first.demands, demands.len());
+        assert_eq!(terminal_view(&world.exchange, &sessions), before);
+        for (&did, report) in demands.iter().zip(&reports) {
+            assert_eq!(
+                world.exchange.demand_status(did),
+                Some(DemandStatus::Settled(report.clone()))
+            );
+        }
+
+        // The live frame is byte-equal to its decoded event re-encoded,
+        // and `bytes` is its length.
+        let (state, frame) = last_checkpoint(&world.sink.bytes());
+        assert_eq!(first.bytes, frame.len());
+        let event = ExchangeEvent::Checkpoint {
+            state: Box::new(state),
+        };
+        assert_eq!(event.encode_frame(), frame);
+
+        // Take one plain session, one demand and its candidates: the next
+        // checkpoint leaves out exactly those, and `take` returns what
+        // `poll` showed before the first checkpoint.
+        let taken_demand = demands[1];
+        let taken_report = world.exchange.take_demand(taken_demand).unwrap();
+        assert_eq!(taken_report, reports[1]);
+        let mut taken: Vec<SessionId> = vec![world.sids[0]];
+        taken.extend(taken_report.quotes.iter().map(|q| q.session));
+        for &sid in &taken {
+            let i = sessions.iter().position(|&s| s == sid).unwrap();
+            let got = world
+                .exchange
+                .take(sid)
+                .unwrap()
+                .map(|o| *o)
+                .map_err(|e| e.to_string());
+            assert_eq!(got, before[i], "take after a checkpoint, session {sid}");
+        }
+        let second = world.exchange.checkpoint().unwrap();
+        assert_eq!(second.sessions, sessions.len() - taken.len());
+        assert_eq!(second.demands, demands.len() - 1);
+        let (state, frame) = last_checkpoint(&world.sink.bytes());
+        assert_eq!(second.bytes, frame.len());
+        let mut kept: Vec<SessionId> = sessions
+            .iter()
+            .copied()
+            .filter(|sid| !taken.contains(sid))
+            .collect();
+        kept.sort();
+        let checkpointed: Vec<SessionId> = state.sessions.iter().map(|(sid, _)| *sid).collect();
+        assert_eq!(checkpointed, kept, "id order, taken sessions left out");
+        let checkpointed: Vec<DemandId> = state.demands.iter().map(|r| r.demand).collect();
+        let kept: Vec<DemandId> = demands
+            .iter()
+            .copied()
+            .filter(|&did| did != taken_demand)
+            .collect();
+        assert_eq!(checkpointed, kept, "id order, the taken demand left out");
+        let event = ExchangeEvent::Checkpoint {
+            state: Box::new(state),
+        };
+        assert_eq!(event.encode_frame(), frame);
+    }
+
+    /// A provider whose every course fails with one long error text.
+    struct LongErrorProvider(String);
+
+    impl vfl_market::GainProvider for LongErrorProvider {
+        fn gain(&self, _: BundleMask) -> vfl_market::Result<f64> {
+            Err(vfl_market::MarketError::Gain(self.0.clone()))
+        }
+    }
+
+    #[test]
+    fn checkpoints_cap_long_error_texts() {
+        // 70 000 bytes of two-byte chars: the cap (65 535) falls inside a
+        // char, so the kept prefix is 65 534 bytes.
+        let text = "é".repeat(35_000);
+        let capped = &text[..journal::MAX_TEXT_BYTES - 1];
+        let (_, listings, gains) = table_market();
+        let market_spec = || MarketSpec {
+            provider: Arc::new(LongErrorProvider(text.clone())),
+            listings: listings.clone(),
+            evaluation_key: Some(5),
+            name: "broken".into(),
+        };
+        let seller_spec = || SellerSpec {
+            market: MarketSpec {
+                provider: Arc::new(LongErrorProvider(text.clone())),
+                listings: listings.clone(),
+                evaluation_key: None,
+                name: "broken-seller".into(),
+            },
+            quoting: Arc::new({
+                let gains = gains.clone();
+                move |_: &[Listing]| {
+                    Box::new(StrategicData::with_gains(gains.clone()))
+                        as Box<dyn vfl_market::DataStrategy + Send>
+                }
+            }),
+        };
+        let (journal, sink) = Journal::in_memory();
+        let exchange = Exchange::with_journal(ExchangeConfig::default(), journal);
+        let market = exchange.register_market(market_spec()).unwrap();
+        exchange.register_seller(seller_spec()).unwrap();
+        let sid = exchange.submit(market, order(&gains, 3)).unwrap();
+        let did = exchange.submit_demand(demand(4, 2)).unwrap();
+        let report = exchange.drain(2);
+        assert!(report.failed >= 2, "both sessions die on the long error");
+
+        exchange
+            .checkpoint()
+            .expect("long error texts are capped, not fatal");
+
+        let spec_gains = gains.clone();
+        let (recovered, replay) = Exchange::recover(
+            ExchangeConfig::default(),
+            &sink.bytes(),
+            ReplaySpec {
+                markets: vec![market_spec()],
+                sellers: vec![seller_spec()],
+                orders: Box::new(move |sid| order(&spec_gains, sid.0)),
+                demands: Box::new(|_| demand(4, 2)),
+                clearing: None,
+            },
+            None,
+        )
+        .expect("the capped checkpoint recovers");
+        assert!(replay.checkpoint_restored);
+        match recovered.take(sid) {
+            Some(Err(vfl_market::MarketError::Gain(msg))) => assert_eq!(msg, capped),
+            other => panic!("expected the capped gain error, got {other:?}"),
+        }
+        // The candidate's quote text is the error's display form, capped
+        // the same way.
+        let quote_text = |report: DemandReport| match &report.quotes[0].state {
+            QuoteState::Error(msg) => msg.clone(),
+            other => panic!("expected an error quote, got {other:?}"),
+        };
+        let full = quote_text(exchange.take_demand(did).unwrap());
+        assert!(full.len() > journal::MAX_TEXT_BYTES);
+        let mut end = journal::MAX_TEXT_BYTES;
+        while !full.is_char_boundary(end) {
+            end -= 1;
+        }
+        assert_eq!(quote_text(recovered.take_demand(did).unwrap()), full[..end]);
+    }
 }

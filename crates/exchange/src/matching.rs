@@ -50,7 +50,7 @@
 //! The probe machinery, the wake/cancel fan-in, and everything below this
 //! module are identical in both modes — only *who decides, when* differs.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -550,6 +550,21 @@ impl DemandState {
     }
 }
 
+/// A settled demand's report, borrowed under its demand lock (what
+/// [`MatchBook::read_settled`] hands the checkpoint writer).
+pub(crate) struct SettledReport<'a>(MutexGuard<'a, DemandState>);
+
+impl std::ops::Deref for SettledReport<'_> {
+    type Target = DemandReport;
+
+    fn deref(&self) -> &DemandReport {
+        self.0
+            .report
+            .as_ref()
+            .expect("read_settled checked every demand is settled")
+    }
+}
+
 /// The registry of live and settled demands: `DemandId -> DemandState`,
 /// each state behind its own mutex (the per-demand linearization point).
 /// The outer map lock is held only for lookup/insert/remove, never across
@@ -644,24 +659,32 @@ impl MatchBook {
         self.demands.read().len()
     }
 
-    /// A sorted snapshot of every demand's settled report, for the
-    /// checkpoint path. `Err(live)` when any demand is still matching or
-    /// parked for clearing — checkpoints require every demand settled.
-    pub(crate) fn snapshot_settled(&self) -> Result<Vec<DemandReport>, usize> {
+    /// Runs `read` over every demand's settled report in id order, each
+    /// read in place under its own demand lock as the iterator reaches it
+    /// (the checkpoint writer's demand table: no report is cloned). The
+    /// map lock is held throughout, so no report is taken mid-read.
+    /// `Err(live)` when any demand is still matching or parked for
+    /// clearing — checkpoints require every demand settled.
+    pub(crate) fn read_settled<R>(
+        &self,
+        read: impl FnOnce(&mut dyn ExactSizeIterator<Item = SettledReport<'_>>) -> R,
+    ) -> Result<R, usize> {
         let demands = self.demands.read();
-        let mut out: Vec<DemandReport> = Vec::with_capacity(demands.len());
-        let mut live = 0usize;
-        for entry in demands.values() {
-            match &entry.lock().report {
-                Some(report) => out.push(report.clone()),
-                None => live += 1,
-            }
-        }
+        let live = demands
+            .values()
+            .filter(|entry| entry.lock().report.is_none())
+            .count();
         if live > 0 {
             return Err(live);
         }
-        out.sort_unstable_by_key(|r| r.demand.0);
-        Ok(out)
+        let mut ordered: Vec<(u64, &Mutex<DemandState>)> =
+            demands.iter().map(|(&id, entry)| (id, &**entry)).collect();
+        ordered.sort_unstable_by_key(|&(id, _)| id);
+        Ok(read(
+            &mut ordered
+                .iter()
+                .map(|&(_, entry)| SettledReport(entry.lock())),
+        ))
     }
 
     /// Re-registers a checkpointed settled demand under its journaled id

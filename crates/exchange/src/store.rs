@@ -21,6 +21,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use vfl_market::{MarketError, Outcome};
 
+use crate::journal::TerminalRef;
 use crate::session::ActiveSession;
 
 /// Opaque session handle returned by `submit`.
@@ -59,7 +60,10 @@ impl SessionStatus {
 enum Slot {
     Ready(Box<ActiveSession>),
     Running,
-    Done(Box<Outcome>),
+    /// The outcome plus its [`vfl_market::session::wire::outcome_digest`]
+    /// when a journal already computed it for the `SessionConcluded`
+    /// record (the checkpoint writer reuses it instead of re-digesting).
+    Done(Box<Outcome>, Option<u64>),
     Failed(MarketError),
 }
 
@@ -107,10 +111,16 @@ impl SessionStore {
         self.shard(id).lock().insert(id.0, Slot::Ready(session));
     }
 
-    /// Records a terminal state.
-    pub(crate) fn finish(&self, id: SessionId, result: Result<Box<Outcome>, MarketError>) {
+    /// Records a terminal state; `digest` is the outcome's content digest
+    /// when the caller already computed it (journaled exchanges).
+    pub(crate) fn finish(
+        &self,
+        id: SessionId,
+        result: Result<Box<Outcome>, MarketError>,
+        digest: Option<u64>,
+    ) {
         let slot = match result {
-            Ok(outcome) => Slot::Done(outcome),
+            Ok(outcome) => Slot::Done(outcome, digest),
             Err(e) => Slot::Failed(e),
         };
         self.shard(id).lock().insert(id.0, slot);
@@ -124,7 +134,7 @@ impl SessionStore {
                 rounds: session.rounds_so_far(),
             },
             Slot::Running => SessionStatus::Running,
-            Slot::Done(outcome) => SessionStatus::Done(outcome.clone()),
+            Slot::Done(outcome, _) => SessionStatus::Done(outcome.clone()),
             Slot::Failed(e) => SessionStatus::Failed(e.to_string()),
         })
     }
@@ -135,8 +145,8 @@ impl SessionStore {
     pub(crate) fn take_outcome(&self, id: SessionId) -> Option<Result<Box<Outcome>, MarketError>> {
         let mut shard = self.shard(id).lock();
         match shard.get(&id.0) {
-            Some(Slot::Done(_) | Slot::Failed(_)) => match shard.remove(&id.0) {
-                Some(Slot::Done(outcome)) => Some(Ok(outcome)),
+            Some(Slot::Done(..) | Slot::Failed(_)) => match shard.remove(&id.0) {
+                Some(Slot::Done(outcome, _)) => Some(Ok(outcome)),
                 Some(Slot::Failed(e)) => Some(Err(e)),
                 _ => unreachable!("slot was just observed terminal"),
             },
@@ -149,21 +159,27 @@ impl SessionStore {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
-    /// A sorted snapshot of every *terminal* slot, for the checkpoint
-    /// path. `Err(live)` when any slot is still `Ready`/`Running` — a
-    /// checkpoint must not split a mid-flight session across the frame
-    /// boundary, so the caller checkpoints only at drain-idle quiescence.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn snapshot_terminal(
+    /// Runs `read` over every *terminal* slot in id order, read in place
+    /// with every shard locked (the checkpoint writer's session table: no
+    /// outcome is cloned). `Err(live)` when any slot is still
+    /// `Ready`/`Running` — a checkpoint must not split a mid-flight
+    /// session across the frame boundary, so the caller checkpoints only
+    /// at drain-idle quiescence.
+    pub(crate) fn read_terminal<R>(
         &self,
-    ) -> Result<Vec<(SessionId, Result<Box<Outcome>, MarketError>)>, usize> {
-        let mut out: Vec<(SessionId, Result<Box<Outcome>, MarketError>)> = Vec::new();
+        read: impl FnOnce(&[TerminalRef<'_>]) -> R,
+    ) -> Result<R, usize> {
+        let shards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
+        let mut terminal: Vec<TerminalRef<'_>> =
+            Vec::with_capacity(shards.iter().map(|s| s.len()).sum());
         let mut live = 0usize;
-        for shard in &self.shards {
-            for (&id, slot) in shard.lock().iter() {
+        for shard in &shards {
+            for (&id, slot) in shard.iter() {
                 match slot {
-                    Slot::Done(outcome) => out.push((SessionId(id), Ok(outcome.clone()))),
-                    Slot::Failed(e) => out.push((SessionId(id), Err(e.clone()))),
+                    Slot::Done(outcome, digest) => {
+                        terminal.push((SessionId(id), Ok(&**outcome), *digest))
+                    }
+                    Slot::Failed(e) => terminal.push((SessionId(id), Err(e), None)),
                     Slot::Ready(_) | Slot::Running => live += 1,
                 }
             }
@@ -171,7 +187,7 @@ impl SessionStore {
         if live > 0 {
             return Err(live);
         }
-        out.sort_unstable_by_key(|&(id, _)| id);
-        Ok(out)
+        terminal.sort_unstable_by_key(|&(id, ..)| id);
+        Ok(read(&terminal))
     }
 }

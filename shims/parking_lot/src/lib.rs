@@ -3,7 +3,11 @@
 //! `Result`). Implemented over `std::sync`, recovering from poisoning the
 //! way parking_lot behaves (parking_lot has no poisoning at all).
 
-use std::sync::{self, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{self, RwLockReadGuard, RwLockWriteGuard};
+
+/// The guard [`Mutex::lock`] returns (named by callers that hold one in a
+/// struct, as with the real crate's `parking_lot::MutexGuard`).
+pub use std::sync::MutexGuard;
 
 /// A mutex whose `lock()` returns the guard directly.
 #[derive(Debug, Default)]
