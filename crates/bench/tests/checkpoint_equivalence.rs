@@ -26,7 +26,7 @@
 //! * **Decoder fuzz + pinned bytes** — random single-byte mutations and
 //!   truncations over a journal holding every tag (1–14) always yield a
 //!   clean prefix of the original events, never a misparse or panic; a
-//!   checked-in byte fixture pins the tag-4/tag-11 wire format, and a
+//!   checked-in byte fixture pins the tag-1/2/4/11/12 wire format, and a
 //!   length-plus-checksum fixture pins a tag-14 frame that reaches every
 //!   checkpoint encoder branch, against accidental drift.
 
@@ -1091,13 +1091,52 @@ proptest! {
     }
 }
 
-/// Checked-in wire-format fixture: the exact bytes of an immediate-mode
-/// (tag 4) and an epoch-mode (tag 11) `DemandSubmitted` frame. The format
-/// is append-only and versioned — if this test fails, the change broke
-/// decoding of every journal already on disk; bump `VERSION` and add a
-/// new tag instead.
+/// Checked-in wire-format fixture: the exact bytes of a `MarketRegistered`
+/// (tag 1), a `SellerRegistered` (tag 2), a `ClearingOpened` (tag 12), an
+/// immediate-mode (tag 4) and an epoch-mode (tag 11) `DemandSubmitted`
+/// frame. The format is append-only and versioned — if this test fails,
+/// the change broke decoding of every journal already on disk; bump
+/// `VERSION` and add a new tag instead.
 #[test]
 fn pinned_frame_bytes_stay_decodable() {
+    let tag1_event = ExchangeEvent::MarketRegistered {
+        market: MarketId(2),
+        eval_key: 0xabcd_ef01,
+        private: false,
+        listings: 3,
+        catalog: BundleMask(0b111),
+        table_digest: 0x1234_5678_9abc_def0,
+        name: "plain".into(),
+    };
+    let tag1_bytes: &[u8] = &[
+        234, 1, 41, 0, 0, 0, 1, 2, 0, 0, 0, 1, 239, 205, 171, 0, 0, 0, 0, 0, 3, 0, 0, 0, 7, 0, 0,
+        0, 0, 0, 0, 0, 240, 222, 188, 154, 120, 86, 52, 18, 5, 0, 112, 108, 97, 105, 110, 253, 177,
+        47, 104, 35, 17, 91, 43,
+    ];
+    let tag2_event = ExchangeEvent::SellerRegistered {
+        seller: vfl_exchange::SellerId(1),
+        market: MarketId(3),
+        eval_key: (1 << 63) | 3,
+        private: true,
+        listings: 2,
+        catalog: BundleMask(0b1010),
+        table_digest: 0x0fed_cba9_8765_4321,
+        name: "acme-data".into(),
+    };
+    let tag2_bytes: &[u8] = &[
+        234, 1, 49, 0, 0, 0, 2, 1, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 128, 1, 2, 0, 0, 0,
+        10, 0, 0, 0, 0, 0, 0, 0, 33, 67, 101, 135, 169, 203, 237, 15, 9, 0, 97, 99, 109, 101, 45,
+        100, 97, 116, 97, 47, 243, 41, 18, 210, 20, 213, 200,
+    ];
+    let tag12_event = ExchangeEvent::ClearingOpened {
+        epoch_size: 4,
+        capacity: 2,
+        max_rolls: 7,
+    };
+    let tag12_bytes: &[u8] = &[
+        234, 1, 13, 0, 0, 0, 12, 4, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 30, 134, 185, 171, 224, 165,
+        7, 238,
+    ];
     let tag4_event = ExchangeEvent::DemandSubmitted {
         demand: DemandId(3),
         wanted: BundleMask(0b101),
@@ -1127,16 +1166,21 @@ fn pinned_frame_bytes_stay_decodable() {
         186, 221, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0, 62, 100, 129,
         179, 235, 136, 136, 169,
     ];
-    assert_eq!(tag4_event.encode_frame(), tag4_bytes, "tag-4 bytes drifted");
-    assert_eq!(
-        tag11_event.encode_frame(),
-        tag11_bytes,
-        "tag-11 bytes drifted"
-    );
-    let mut journal = tag4_bytes.to_vec();
-    journal.extend_from_slice(tag11_bytes);
+    let pinned = [
+        (1, tag1_event, tag1_bytes),
+        (2, tag2_event, tag2_bytes),
+        (12, tag12_event, tag12_bytes),
+        (4, tag4_event, tag4_bytes),
+        (11, tag11_event, tag11_bytes),
+    ];
+    let mut journal = Vec::new();
+    for (tag, event, bytes) in &pinned {
+        assert_eq!(event.encode_frame(), *bytes, "tag-{tag} bytes drifted");
+        journal.extend_from_slice(bytes);
+    }
     let (decoded, dropped) = read_events(&journal);
-    assert_eq!(decoded, vec![tag4_event, tag11_event]);
+    let events: Vec<ExchangeEvent> = pinned.into_iter().map(|(_, event, _)| event).collect();
+    assert_eq!(decoded, events);
     assert_eq!(dropped, 0);
 }
 

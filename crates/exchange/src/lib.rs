@@ -905,61 +905,80 @@ mod tests {
     #[test]
     fn recovery_rejects_a_drifted_spec() {
         let world = journaled_world();
+        world
+            .exchange
+            .open_clearing(ClearingSpec::uniform())
+            .unwrap();
         world.exchange.drain(1);
-        let bytes = world.sink.bytes();
+        // The same journal twice: genesis replay checks the registration
+        // events, and after a drain-idle checkpoint the restore path checks
+        // the checkpoint's registration stamps and clearing shape instead.
+        let genesis = world.sink.bytes();
+        world.exchange.checkpoint().unwrap();
+        let checkpointed = world.sink.bytes();
         let fresh = Arc::new(std::sync::atomic::AtomicU64::new(0));
-
-        // Wrong market name.
-        let mut spec = world_spec(&fresh);
-        spec.markets[0].name = "renamed".into();
-        assert!(matches!(
-            Exchange::recover(ExchangeConfig::default(), &bytes, spec, None),
-            Err(RecoverError::SpecMismatch(_))
-        ));
-        // Wrong evaluation key.
-        let mut spec = world_spec(&fresh);
-        spec.markets[0].evaluation_key = Some(43);
-        assert!(matches!(
-            Exchange::recover(ExchangeConfig::default(), &bytes, spec, None),
-            Err(RecoverError::SpecMismatch(_))
-        ));
-        // Same catalog and listing count, but an edited reserved price:
-        // the full-table digest catches what the coarse fingerprints
-        // cannot (recovering it would silently re-negotiate different
-        // reserves).
-        let mut spec = world_spec(&fresh);
-        let mut listings = (*spec.markets[0].listings).clone();
-        listings[0].reserved = ReservedPrice::new(99.0, 9.9).unwrap();
-        spec.markets[0].listings = Arc::new(listings);
-        assert!(matches!(
-            Exchange::recover(ExchangeConfig::default(), &bytes, spec, None),
-            Err(RecoverError::SpecMismatch(_))
-        ));
-        // Missing seller.
-        let mut spec = world_spec(&fresh);
-        spec.sellers.pop();
-        assert!(matches!(
-            Exchange::recover(ExchangeConfig::default(), &bytes, spec, None),
-            Err(RecoverError::SpecMismatch(_))
-        ));
+        let spec = || ReplaySpec {
+            clearing: Some(ClearingSpec::uniform()),
+            ..world_spec(&fresh)
+        };
+        let rejects = |bytes: &[u8], spec: ReplaySpec| {
+            matches!(
+                Exchange::recover(ExchangeConfig::default(), bytes, spec, None),
+                Err(RecoverError::SpecMismatch(_))
+            )
+        };
+        type Drift = fn(&mut ReplaySpec);
+        let drifts: [(&str, Drift); 7] = [
+            ("wrong market name", |s| {
+                s.markets[0].name = "renamed".into()
+            }),
+            ("wrong evaluation key", |s| {
+                s.markets[0].evaluation_key = Some(43)
+            }),
+            // Same catalog and listing count, but an edited reserved price:
+            // the full-table digest catches what the coarse fingerprints
+            // cannot (recovering it would silently re-negotiate different
+            // reserves).
+            ("edited reserve", |s| {
+                let mut listings = (*s.markets[0].listings).clone();
+                listings[0].reserved = ReservedPrice::new(99.0, 9.9).unwrap();
+                s.markets[0].listings = Arc::new(listings);
+            }),
+            ("missing seller", |s| {
+                s.sellers.pop();
+            }),
+            ("drifted clearing epoch size", |s| {
+                s.clearing.as_mut().unwrap().epoch_size += 1
+            }),
+            ("drifted clearing capacity", |s| {
+                s.clearing.as_mut().unwrap().capacity += 1
+            }),
+            ("missing clearing spec", |s| s.clearing = None),
+        ];
+        for (what, drift) in &drifts {
+            for (path, bytes) in [("genesis", &genesis), ("checkpoint", &checkpointed)] {
+                let mut drifted = spec();
+                drift(&mut drifted);
+                assert!(rejects(bytes, drifted), "{path} accepted a {what}");
+            }
+        }
+        // Submissions after the checkpoint are genesis-only checks: the
+        // checkpoint restores their outcomes without consulting the spec.
         // Wrong session config (digest mismatch).
-        let mut spec = world_spec(&fresh);
-        spec.orders = Box::new(|sid| order(&table_market().2, sid.0 + 100));
-        assert!(matches!(
-            Exchange::recover(ExchangeConfig::default(), &bytes, spec, None),
-            Err(RecoverError::SpecMismatch(_))
-        ));
+        let mut drifted = spec();
+        drifted.orders = Box::new(|sid| order(&table_market().2, sid.0 + 100));
+        assert!(rejects(&genesis, drifted), "wrong session config");
         // Wrong demand shape.
-        let mut spec = world_spec(&fresh);
-        spec.demands = Box::new(|_| demand(9, 3));
-        assert!(matches!(
-            Exchange::recover(ExchangeConfig::default(), &bytes, spec, None),
-            Err(RecoverError::SpecMismatch(_))
-        ));
-        // The pristine spec still recovers.
-        assert!(
-            Exchange::recover(ExchangeConfig::default(), &bytes, world_spec(&fresh), None).is_ok()
-        );
+        let mut drifted = spec();
+        drifted.demands = Box::new(|_| demand(9, 3));
+        assert!(rejects(&genesis, drifted), "wrong demand shape");
+        // The pristine spec still recovers on both paths.
+        let (_, report) =
+            Exchange::recover(ExchangeConfig::default(), &genesis, spec(), None).unwrap();
+        assert!(!report.checkpoint_restored && report.clearing_opened);
+        let (_, report) =
+            Exchange::recover(ExchangeConfig::default(), &checkpointed, spec(), None).unwrap();
+        assert!(report.checkpoint_restored && report.clearing_opened);
     }
 
     #[test]
