@@ -122,6 +122,13 @@ impl ClearingSpec {
         }
     }
 
+    /// `(epoch_size, capacity, max_rolls)` — the window shape a
+    /// [`crate::ExchangeEvent::ClearingOpened`] record and a checkpoint
+    /// carry, and recovery checks a re-supplied spec against.
+    pub(crate) fn shape(&self) -> (u32, u32, u32) {
+        (self.epoch_size as u32, self.capacity, self.max_rolls)
+    }
+
     pub(crate) fn validate(&self) -> Result<()> {
         if self.epoch_size == 0 {
             return Err(MarketError::InvalidConfig(

@@ -74,7 +74,7 @@ use crate::journal::{
 };
 use crate::matching::{
     Demand, DemandId, DemandReport, DemandState, DemandStatus, MatchBook, QuoteState,
-    QuotingFactory, ReportOutcome, SellerId, SettleAction, Settlement,
+    QuotingFactory, ReportOutcome, SellerId, SellerSpec, SettleAction, Settlement,
 };
 use crate::metrics::{ExchangeMetrics, MetricsSnapshot};
 use crate::session::{ActiveSession, Drive, MatchTag, SessionOrder};
@@ -191,6 +191,23 @@ struct MarketEntry {
     /// caller may legally supply a high-bit key).
     private: bool,
     name: String,
+}
+
+impl MarketEntry {
+    /// The entry's registration stamp — the one builder behind the
+    /// `MarketRegistered`/`SellerRegistered` records and a checkpoint's
+    /// registration table (`owner`: the seller that registered the market).
+    fn stamp(&self, owner: Option<SellerId>) -> CheckpointMarket {
+        CheckpointMarket {
+            owner,
+            eval_key: self.eval_key,
+            private: self.private,
+            listings: self.listings.len() as u32,
+            catalog: BundleMask::union_of(self.listings.iter().map(|l| l.bundle)),
+            table_digest: crate::journal::listing_table_digest(&self.listings),
+            name: self.name.clone(),
+        }
+    }
 }
 
 /// A registered data party: its market, quoting strategy factory, and the
@@ -362,7 +379,7 @@ impl Exchange {
     /// attached (the no-journal hot path pays one branch). With
     /// telemetry attached, the append — serialize, frame, sink write —
     /// is timed into the `journal_append` stage.
-    fn record_with(&self, make: impl FnOnce() -> ExchangeEvent) {
+    pub(crate) fn record_with(&self, make: impl FnOnce() -> ExchangeEvent) {
         if self.journal.is_some() {
             self.record(&make());
         }
@@ -445,10 +462,12 @@ impl Exchange {
         }
     }
 
-    /// Appends one market entry under the held registry lock; journal
-    /// appends happen under the same lock, so journal order is id order
-    /// (recovery re-registers by walking the journal).
-    fn push_market(markets: &mut Vec<MarketEntry>, spec: MarketSpec) -> Result<(MarketId, bool)> {
+    /// Installs one market entry under the held registry lock. Installing
+    /// journals nothing: the live registration paths record the entry's
+    /// stamp under the same lock (so journal order is id order — recovery
+    /// re-registers by walking the journal), and recovery decides itself
+    /// what to re-record.
+    fn push_market(markets: &mut Vec<MarketEntry>, spec: MarketSpec) -> Result<MarketId> {
         if spec.listings.is_empty() {
             return Err(MarketError::InvalidConfig(
                 "market has an empty listing table".into(),
@@ -464,7 +483,6 @@ impl Exchange {
             )));
         }
         let id = MarketId(markets.len());
-        let private = spec.evaluation_key.is_none();
         // Private cache spaces get the high bit so they can never collide
         // with caller-provided fingerprints of other markets.
         let eval_key = spec.evaluation_key.unwrap_or((1 << 63) | id.0 as u64);
@@ -472,29 +490,55 @@ impl Exchange {
             provider: spec.provider,
             listings: spec.listings,
             eval_key,
-            private,
+            private: spec.evaluation_key.is_none(),
             name: spec.name,
         });
-        Ok((id, private))
+        Ok(id)
+    }
+
+    /// Installs one seller and its market under the held registry locks
+    /// (taken markets before sellers), so the market-id allocation and the
+    /// seller record form one atomic registration: one `SellerRegistered`
+    /// record covers both, and a journal prefix never sees a seller's market
+    /// without its seller.
+    fn push_seller(
+        markets: &mut Vec<MarketEntry>,
+        sellers: &mut Vec<SellerEntry>,
+        spec: SellerSpec,
+    ) -> Result<SellerId> {
+        let catalog = BundleMask::union_of(spec.market.listings.iter().map(|l| l.bundle));
+        let scenario = spec.market.evaluation_key;
+        let name = spec.market.name.clone();
+        let market = Self::push_market(markets, spec.market)?;
+        let id = SellerId(sellers.len());
+        sellers.push(SellerEntry {
+            market,
+            name,
+            catalog,
+            scenario,
+            quoting: spec.quoting,
+        });
+        Ok(id)
+    }
+
+    /// Installs the clearing window into its held slot (at most one per
+    /// exchange).
+    fn push_window(slot: &mut Option<Arc<ClearingWindow>>, spec: ClearingSpec) -> Result<()> {
+        if slot.is_some() {
+            return Err(MarketError::InvalidConfig(
+                "the exchange's clearing window is already open".into(),
+            ));
+        }
+        *slot = Some(Arc::new(ClearingWindow::new(spec)?));
+        Ok(())
     }
 
     /// Registers a market; heterogeneous scenarios (any dataset × base
     /// model mix) coexist in one exchange.
     pub fn register_market(&self, spec: MarketSpec) -> Result<MarketId> {
         let mut markets = self.markets.write();
-        let (id, private) = Self::push_market(&mut markets, spec)?;
-        self.record_with(|| {
-            let entry = &markets[id.0];
-            ExchangeEvent::MarketRegistered {
-                market: id,
-                eval_key: entry.eval_key,
-                private,
-                listings: entry.listings.len() as u32,
-                catalog: BundleMask::union_of(entry.listings.iter().map(|l| l.bundle)),
-                table_digest: crate::journal::listing_table_digest(&entry.listings),
-                name: entry.name.clone(),
-            }
-        });
+        let id = Self::push_market(&mut markets, spec)?;
+        self.record_with(|| ExchangeEvent::registered(id, markets[id.0].stamp(None)));
         Ok(id)
     }
 
@@ -503,36 +547,12 @@ impl Exchange {
     /// the returned seller) plus the quoting strategy it answers demands
     /// with. Sellers are matched against demands by catalog overlap and
     /// scenario fingerprint (see [`Demand`]).
-    pub fn register_seller(&self, spec: crate::matching::SellerSpec) -> Result<SellerId> {
-        let catalog = BundleMask::union_of(spec.market.listings.iter().map(|l| l.bundle));
-        let scenario = spec.market.evaluation_key;
-        let name = spec.market.name.clone();
-        // Lock order: markets before sellers — the only place both are
-        // held together, so the market-id allocation and the seller
-        // record form one atomic registration in journal order (one
-        // `SellerRegistered` event covers both; a journal prefix never
-        // sees a seller's market without its seller).
+    pub fn register_seller(&self, spec: SellerSpec) -> Result<SellerId> {
         let mut markets = self.markets.write();
         let mut sellers = self.sellers.write();
-        let (market, private) = Self::push_market(&mut markets, spec.market)?;
-        let id = SellerId(sellers.len());
-        sellers.push(SellerEntry {
-            market,
-            name: name.clone(),
-            catalog,
-            scenario,
-            quoting: spec.quoting,
-        });
-        self.record_with(|| ExchangeEvent::SellerRegistered {
-            seller: id,
-            market,
-            eval_key: markets[market.0].eval_key,
-            private,
-            listings: markets[market.0].listings.len() as u32,
-            catalog,
-            table_digest: crate::journal::listing_table_digest(&markets[market.0].listings),
-            name: name.clone(),
-        });
+        let id = Self::push_seller(&mut markets, &mut sellers, spec)?;
+        let market = sellers[id.0].market;
+        self.record_with(|| ExchangeEvent::registered(market, markets[market.0].stamp(Some(id))));
         Ok(id)
     }
 
@@ -544,21 +564,16 @@ impl Exchange {
     /// (`epoch_size`, `capacity`, `max_rolls`) is journaled so recovery
     /// can verify the re-supplied spec against it.
     pub fn open_clearing(&self, spec: ClearingSpec) -> Result<()> {
+        let (epoch_size, capacity, max_rolls) = spec.shape();
         let mut slot = self.clearing.write();
-        if slot.is_some() {
-            return Err(MarketError::InvalidConfig(
-                "the exchange's clearing window is already open".into(),
-            ));
-        }
-        let window = ClearingWindow::new(spec)?;
+        Self::push_window(&mut slot, spec)?;
         // Journal under the held window lock, mirroring registrations:
         // the open-record precedes every epoch demand in any prefix.
         self.record_with(|| ExchangeEvent::ClearingOpened {
-            epoch_size: window.spec().epoch_size as u32,
-            capacity: window.spec().capacity,
-            max_rolls: window.spec().max_rolls,
+            epoch_size,
+            capacity,
+            max_rolls,
         });
-        *slot = Some(Arc::new(window));
         Ok(())
     }
 
@@ -634,22 +649,11 @@ impl Exchange {
             }
             markets
                 .iter()
-                .enumerate()
-                .map(|(i, m)| CheckpointMarket {
-                    owner: owner[i],
-                    eval_key: m.eval_key,
-                    private: m.private,
-                    listings: m.listings.len() as u32,
-                    catalog: BundleMask::union_of(m.listings.iter().map(|l| l.bundle)),
-                    table_digest: crate::journal::listing_table_digest(&m.listings),
-                    name: m.name.clone(),
-                })
+                .zip(owner)
+                .map(|(m, owner)| m.stamp(owner))
                 .collect()
         };
-        let clearing = self.clearing.read().clone().map(|w| {
-            let s = w.spec();
-            (s.epoch_size as u32, s.capacity, s.max_rolls)
-        });
+        let clearing = self.clearing.read().as_ref().map(|w| w.spec().shape());
         let courses = self.cache.entries();
         // Encode the frame straight from the quiescent structures, each
         // read in place under its own locks and released before the next
@@ -721,166 +725,122 @@ impl Exchange {
         Ok(stats)
     }
 
-    /// Registration path of checkpoint restore: exactly
-    /// [`Self::register_market`] minus the journal record (the restored
-    /// checkpoint frame already covers it).
-    fn restore_market(&self, spec: MarketSpec) -> Result<MarketId> {
+    /// Recovery's one registration routine, shared by genesis replay (each
+    /// [`ExchangeEvent::MarketRegistered`] / [`ExchangeEvent::SellerRegistered`])
+    /// and checkpoint restore (each [`CheckpointMarket`]; `source` names which
+    /// in errors): checks `stamp` against the next [`ReplaySpec`] entry of its
+    /// kind, installs the registration, and verifies the assigned ids and
+    /// evaluation key against the stamp's. Installs only — genesis replay
+    /// re-records the registration afterwards, a restore records nothing.
+    pub(crate) fn replay_registration(
+        &self,
+        market: MarketId,
+        stamp: &CheckpointMarket,
+        spec: &mut ReplaySpec,
+        source: &str,
+    ) -> std::result::Result<(), RecoverError> {
+        let name = &stamp.name;
+        let exhausted = |what: &str, id: &dyn std::fmt::Display| {
+            RecoverError::SpecMismatch(format!(
+                "{source} records {what} {id} {name:?} but the spec supplies no further {what}"
+            ))
+        };
         let mut markets = self.markets.write();
-        let (id, _) = Self::push_market(&mut markets, spec)?;
-        Ok(id)
-    }
-
-    /// Seller path of checkpoint restore: [`Self::register_seller`] minus
-    /// the journal record.
-    fn restore_seller(&self, spec: crate::matching::SellerSpec) -> Result<SellerId> {
-        let catalog = BundleMask::union_of(spec.market.listings.iter().map(|l| l.bundle));
-        let scenario = spec.market.evaluation_key;
-        let name = spec.market.name.clone();
-        let mut markets = self.markets.write();
-        let mut sellers = self.sellers.write();
-        let (market, _) = Self::push_market(&mut markets, spec.market)?;
-        let id = SellerId(sellers.len());
-        sellers.push(SellerEntry {
-            market,
-            name,
-            catalog,
-            scenario,
-            quoting: spec.quoting,
-        });
-        Ok(id)
-    }
-
-    /// Clearing path of checkpoint restore: [`Self::open_clearing`] minus
-    /// the journal record.
-    fn restore_clearing(&self, spec: ClearingSpec) -> Result<()> {
-        let mut slot = self.clearing.write();
-        if slot.is_some() {
-            return Err(MarketError::InvalidConfig(
-                "the exchange's clearing window is already open".into(),
-            ));
+        let replayed = match stamp.owner {
+            None => {
+                if spec.markets.is_empty() {
+                    return Err(exhausted("market", &market));
+                }
+                let ms = spec.markets.remove(0);
+                check_market_spec(&ms, stamp)?;
+                Self::push_market(&mut markets, ms)
+                    .map_err(|e| RecoverError::SpecMismatch(format!("market {name:?}: {e}")))?
+            }
+            Some(seller) => {
+                if spec.sellers.is_empty() {
+                    return Err(exhausted("seller", &seller));
+                }
+                let ss = spec.sellers.remove(0);
+                check_market_spec(&ss.market, stamp)?;
+                let mut sellers = self.sellers.write();
+                let id = Self::push_seller(&mut markets, &mut sellers, ss)
+                    .map_err(|e| RecoverError::SpecMismatch(format!("seller {name:?}: {e}")))?;
+                if id != seller {
+                    return Err(RecoverError::InconsistentJournal(format!(
+                        "seller {name:?} replayed as {id}, {source} records {seller}"
+                    )));
+                }
+                sellers[id.0].market
+            }
+        };
+        if replayed != market {
+            return Err(RecoverError::InconsistentJournal(format!(
+                "market {name:?} replayed as {replayed}, {source} records {market}"
+            )));
         }
-        *slot = Some(Arc::new(ClearingWindow::new(spec)?));
+        // Private keys encode the assigned id, so equality here also pins
+        // the registration *order* the spec re-supplied.
+        let key = markets[replayed.0].eval_key;
+        if key != stamp.eval_key {
+            return Err(RecoverError::InconsistentJournal(format!(
+                "market {name:?} replayed with evaluation key {key}, {source} records {}",
+                stamp.eval_key
+            )));
+        }
         Ok(())
     }
 
+    /// Recovery's clearing-window routine, shared by genesis replay
+    /// ([`ExchangeEvent::ClearingOpened`]) and checkpoint restore
+    /// ([`CheckpointState::clearing`]): checks the spec's clearing spec
+    /// against the recorded `(epoch_size, capacity, max_rolls)` and
+    /// installs the window. Installs only, like
+    /// [`Self::replay_registration`].
+    pub(crate) fn replay_clearing(
+        &self,
+        shape: (u32, u32, u32),
+        spec: &mut ReplaySpec,
+        source: &str,
+    ) -> std::result::Result<(), RecoverError> {
+        let Some(cs) = spec.clearing.take() else {
+            return Err(RecoverError::SpecMismatch(format!(
+                "{source} records a clearing window but the spec supplies no clearing spec"
+            )));
+        };
+        if cs.shape() != shape {
+            let (epoch_size, capacity, max_rolls) = shape;
+            return Err(RecoverError::SpecMismatch(format!(
+                "clearing window: {source} records epoch_size {epoch_size} / capacity \
+                 {capacity} / max_rolls {max_rolls}, spec supplies {} / {} / {}",
+                cs.epoch_size, cs.capacity, cs.max_rolls
+            )));
+        }
+        Self::push_window(&mut self.clearing.write(), cs)
+            .map_err(|e| RecoverError::InconsistentJournal(format!("clearing: {e}")))
+    }
+
     /// Restores a [`CheckpointState`] into this (fresh) exchange:
-    /// registrations re-verified against the re-supplied spec exactly as
-    /// genesis replay verifies registration events, then courses, terminal
-    /// outcomes, settled reports, and the epoch ledger installed wholesale
-    /// — **nothing re-runs and nothing is journaled by the restore paths**.
-    /// The checkpoint frame itself is re-appended to the fresh journal
-    /// (before the caller replays the suffix through the ordinary
-    /// journaling paths), so the new generation reads `[Checkpoint,
-    /// suffix…]` and chains.
+    /// registrations and the clearing window re-verified and installed by
+    /// the routines genesis replay runs on their events
+    /// ([`Self::replay_registration`], [`Self::replay_clearing`]), then
+    /// courses, terminal outcomes, settled reports, and the epoch ledger
+    /// installed wholesale — **nothing re-runs and nothing is journaled by
+    /// the restore paths**. The checkpoint frame itself is re-appended to
+    /// the fresh journal (before the caller replays the suffix through the
+    /// ordinary journaling paths), so the new generation reads
+    /// `[Checkpoint, suffix…]` and chains.
     pub(crate) fn restore_checkpoint(
         &self,
         state: Box<CheckpointState>,
         spec: &mut ReplaySpec,
     ) -> std::result::Result<(), RecoverError> {
-        for (idx, m) in state.markets.iter().enumerate() {
-            match m.owner {
-                None => {
-                    if spec.markets.is_empty() {
-                        return Err(RecoverError::SpecMismatch(format!(
-                            "checkpoint records market m{idx} {:?} but the spec \
-                             supplies no further market",
-                            m.name
-                        )));
-                    }
-                    let ms = spec.markets.remove(0);
-                    check_market_spec(
-                        "market",
-                        &ms,
-                        m.private,
-                        m.eval_key,
-                        m.listings,
-                        m.catalog,
-                        m.table_digest,
-                        &m.name,
-                    )?;
-                    let id = self.restore_market(ms).map_err(|e| {
-                        RecoverError::SpecMismatch(format!("market {:?}: {e}", m.name))
-                    })?;
-                    if id.0 != idx {
-                        return Err(RecoverError::InconsistentJournal(format!(
-                            "checkpoint market {:?} restored as {id}, stamp is m{idx}",
-                            m.name
-                        )));
-                    }
-                }
-                Some(seller) => {
-                    if spec.sellers.is_empty() {
-                        return Err(RecoverError::SpecMismatch(format!(
-                            "checkpoint records seller {seller} {:?} but the spec \
-                             supplies no further seller",
-                            m.name
-                        )));
-                    }
-                    let ss = spec.sellers.remove(0);
-                    check_market_spec(
-                        "seller",
-                        &ss.market,
-                        m.private,
-                        m.eval_key,
-                        m.listings,
-                        m.catalog,
-                        m.table_digest,
-                        &m.name,
-                    )?;
-                    let id = self.restore_seller(ss).map_err(|e| {
-                        RecoverError::SpecMismatch(format!("seller {:?}: {e}", m.name))
-                    })?;
-                    if id != seller {
-                        return Err(RecoverError::InconsistentJournal(format!(
-                            "checkpoint seller {:?} restored as {id}, stamp is {seller}",
-                            m.name
-                        )));
-                    }
-                    let market = self.seller_market(id).expect("just registered");
-                    if market.0 != idx {
-                        return Err(RecoverError::InconsistentJournal(format!(
-                            "checkpoint seller {:?} market restored as {market}, \
-                             stamp is m{idx}",
-                            m.name
-                        )));
-                    }
-                }
-            }
-            // Private keys encode the assigned id, so equality here also
-            // pins the registration *order* the spec re-supplied.
-            let restored_key = self.markets.read()[idx].eval_key;
-            if restored_key != m.eval_key {
-                return Err(RecoverError::InconsistentJournal(format!(
-                    "checkpoint market m{idx} {:?} restored with evaluation key \
-                     {restored_key}, stamp records {}",
-                    m.name, m.eval_key
-                )));
-            }
+        for (idx, stamp) in state.markets.iter().enumerate() {
+            self.replay_registration(MarketId(idx), stamp, spec, "checkpoint")?;
         }
-        match (state.clearing, spec.clearing.take()) {
-            (None, unused) => spec.clearing = unused, // a suffix ClearingOpened may claim it
-            (Some((epoch_size, capacity, max_rolls)), Some(cs)) => {
-                if cs.epoch_size as u32 != epoch_size
-                    || cs.capacity != capacity
-                    || cs.max_rolls != max_rolls
-                {
-                    return Err(RecoverError::SpecMismatch(format!(
-                        "clearing window: checkpoint records epoch_size {epoch_size} / \
-                         capacity {capacity} / max_rolls {max_rolls}, spec supplies \
-                         {} / {} / {}",
-                        cs.epoch_size, cs.capacity, cs.max_rolls
-                    )));
-                }
-                self.restore_clearing(cs)
-                    .map_err(|e| RecoverError::InconsistentJournal(format!("clearing: {e}")))?;
-            }
-            (Some(_), None) => {
-                return Err(RecoverError::SpecMismatch(
-                    "checkpoint records a clearing window but the spec supplies no \
-                     clearing spec"
-                        .into(),
-                ));
-            }
+        // Without a recorded window, a suffix ClearingOpened may claim the
+        // spec's clearing spec.
+        if let Some(shape) = state.clearing {
+            self.replay_clearing(shape, spec, "checkpoint")?;
         }
         let window = self.clearing.read().clone();
         if window.is_none() && !state.epochs.is_empty() {
@@ -926,20 +886,9 @@ impl Exchange {
         Ok(())
     }
 
-    /// The clearing window's spec-and-queue view (`None` before
-    /// [`Exchange::open_clearing`]).
-    pub fn clearing_window(&self) -> Option<Arc<ClearingWindow>> {
-        self.clearing.read().clone()
-    }
-
     /// The market a registered seller trades on (`None` for unknown ids).
     pub fn seller_market(&self, id: SellerId) -> Option<MarketId> {
         self.sellers.read().get(id.0).map(|s| s.market)
-    }
-
-    /// Number of registered sellers.
-    pub fn seller_count(&self) -> usize {
-        self.sellers.read().len()
     }
 
     /// Opens a negotiation on `market`. The session is validated and queued

@@ -94,13 +94,18 @@
 //!
 //! **Recovery seek.** [`Exchange::recover`] seeks to the *last*
 //! checkpoint in the valid prefix, restores its state wholesale (courses
-//! become cache hits, outcomes and settlements are installed verbatim,
-//! registrations are re-verified against the spec exactly as replay
-//! verifies registration events), and replays only the suffix. A torn
-//! checkpoint — the crash landed mid-append — simply falls off the valid
-//! prefix per the truncation rule, and the seek lands on the previous
-//! complete checkpoint or genesis: checkpointing can never lose journaled
-//! events, only fail to accelerate them.
+//! become cache hits, outcomes and settlements are installed verbatim),
+//! and replays only the suffix. Both recovery paths share one registration
+//! routine: it checks a registration stamp against the next [`ReplaySpec`]
+//! entry, installs it, and verifies the assigned ids and evaluation key.
+//! Genesis replay runs it on each registration event and re-records the
+//! registration; a restore runs it on each of the checkpoint's stamps and
+//! journals only the checkpoint frame. The clearing window's shape check
+//! and install are shared the same way. A torn checkpoint — the crash
+//! landed mid-append — simply falls off the valid prefix per the
+//! truncation rule, and the seek lands on the previous complete checkpoint
+//! or genesis: checkpointing can never lose journaled events, only fail to
+//! accelerate them.
 //!
 //! **Encoding.** The frame is written straight from the quiescent
 //! structures, read in place under their locks and in id order, into one
@@ -525,6 +530,26 @@ fn put_epoch_record(buf: &mut Vec<u8>, record: &EpochRecord) {
     }
 }
 
+/// Body of one registration stamp — shared verbatim by tags 1 and 2 (after
+/// their ids) and by every market of a tag-14 registration table (after its
+/// owner), so the three can never drift apart.
+fn put_stamp(
+    buf: &mut Vec<u8>,
+    eval_key: u64,
+    private: bool,
+    listings: u32,
+    catalog: BundleMask,
+    table_digest: u64,
+    name: &str,
+) {
+    put_u64(buf, eval_key);
+    buf.push(private as u8);
+    put_u32(buf, listings);
+    put_u64(buf, catalog.0);
+    put_u64(buf, table_digest);
+    put_str(buf, name);
+}
+
 /// `(variant code, inner message)` of a [`MarketError`] — checkpoint frames
 /// persist failed sessions' terminal errors. Codes are append-only.
 fn error_code(e: &MarketError) -> (u8, &str) {
@@ -589,12 +614,15 @@ pub(crate) fn put_checkpoint_head(buf: &mut Vec<u8>, head: &CheckpointHead<'_>) 
             }
             None => buf.push(0),
         }
-        put_u64(buf, m.eval_key);
-        buf.push(m.private as u8);
-        put_u32(buf, m.listings);
-        put_u64(buf, m.catalog.0);
-        put_u64(buf, m.table_digest);
-        put_str(buf, &m.name);
+        put_stamp(
+            buf,
+            m.eval_key,
+            m.private,
+            m.listings,
+            m.catalog,
+            m.table_digest,
+            &m.name,
+        );
     }
     match head.clearing {
         Some((epoch_size, capacity, max_rolls)) => {
@@ -772,6 +800,20 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Inverse of [`put_stamp`] (shared by the tag-1, tag-2 and tag-14
+/// decoders): the stamp body of a market `owner` registered, if any.
+fn read_stamp(r: &mut Reader<'_>, owner: Option<SellerId>) -> Option<CheckpointMarket> {
+    Some(CheckpointMarket {
+        owner,
+        eval_key: r.u64()?,
+        private: r.u8()? != 0,
+        listings: r.u32()?,
+        catalog: BundleMask(r.u64()?),
+        table_digest: r.u64()?,
+        name: r.str()?,
+    })
+}
+
 /// Inverse of [`put_epoch_record`] (shared by the tag-13 and tag-14
 /// decoders).
 fn read_epoch_record(r: &mut Reader<'_>) -> Option<EpochRecord> {
@@ -805,6 +847,42 @@ fn read_epoch_record(r: &mut Reader<'_>) -> Option<EpochRecord> {
 }
 
 impl ExchangeEvent {
+    /// The registration record of `stamp` for market `market`:
+    /// [`Self::SellerRegistered`] when a seller owns the market,
+    /// [`Self::MarketRegistered`] otherwise.
+    pub(crate) fn registered(market: MarketId, stamp: CheckpointMarket) -> Self {
+        let CheckpointMarket {
+            owner,
+            eval_key,
+            private,
+            listings,
+            catalog,
+            table_digest,
+            name,
+        } = stamp;
+        match owner {
+            None => ExchangeEvent::MarketRegistered {
+                market,
+                eval_key,
+                private,
+                listings,
+                catalog,
+                table_digest,
+                name,
+            },
+            Some(seller) => ExchangeEvent::SellerRegistered {
+                seller,
+                market,
+                eval_key,
+                private,
+                listings,
+                catalog,
+                table_digest,
+                name,
+            },
+        }
+    }
+
     /// Appends the event's payload (tag byte + fields, no frame) to `buf`.
     fn put_payload(&self, buf: &mut Vec<u8>) {
         match self {
@@ -819,12 +897,15 @@ impl ExchangeEvent {
             } => {
                 buf.push(1);
                 put_u32(buf, market.0 as u32);
-                put_u64(buf, *eval_key);
-                buf.push(*private as u8);
-                put_u32(buf, *listings);
-                put_u64(buf, catalog.0);
-                put_u64(buf, *table_digest);
-                put_str(buf, name);
+                put_stamp(
+                    buf,
+                    *eval_key,
+                    *private,
+                    *listings,
+                    *catalog,
+                    *table_digest,
+                    name,
+                );
             }
             ExchangeEvent::SellerRegistered {
                 seller,
@@ -839,12 +920,15 @@ impl ExchangeEvent {
                 buf.push(2);
                 put_u32(buf, seller.0 as u32);
                 put_u32(buf, market.0 as u32);
-                put_u64(buf, *eval_key);
-                buf.push(*private as u8);
-                put_u32(buf, *listings);
-                put_u64(buf, catalog.0);
-                put_u64(buf, *table_digest);
-                put_str(buf, name);
+                put_stamp(
+                    buf,
+                    *eval_key,
+                    *private,
+                    *listings,
+                    *catalog,
+                    *table_digest,
+                    name,
+                );
             }
             ExchangeEvent::SessionSubmitted {
                 session,
@@ -991,25 +1075,15 @@ impl ExchangeEvent {
     fn decode(payload: &[u8]) -> Option<ExchangeEvent> {
         let mut r = Reader::new(payload);
         let event = match r.u8()? {
-            1 => ExchangeEvent::MarketRegistered {
-                market: MarketId(r.u32()? as usize),
-                eval_key: r.u64()?,
-                private: r.u8()? != 0,
-                listings: r.u32()?,
-                catalog: BundleMask(r.u64()?),
-                table_digest: r.u64()?,
-                name: r.str()?,
-            },
-            2 => ExchangeEvent::SellerRegistered {
-                seller: SellerId(r.u32()? as usize),
-                market: MarketId(r.u32()? as usize),
-                eval_key: r.u64()?,
-                private: r.u8()? != 0,
-                listings: r.u32()?,
-                catalog: BundleMask(r.u64()?),
-                table_digest: r.u64()?,
-                name: r.str()?,
-            },
+            1 => {
+                let market = MarketId(r.u32()? as usize);
+                ExchangeEvent::registered(market, read_stamp(&mut r, None)?)
+            }
+            2 => {
+                let seller = SellerId(r.u32()? as usize);
+                let market = MarketId(r.u32()? as usize);
+                ExchangeEvent::registered(market, read_stamp(&mut r, Some(seller))?)
+            }
             3 => ExchangeEvent::SessionSubmitted {
                 session: SessionId(r.u64()?),
                 market: MarketId(r.u32()? as usize),
@@ -1105,15 +1179,7 @@ impl ExchangeEvent {
                         1 => Some(SellerId(r.u32()? as usize)),
                         _ => return None,
                     };
-                    markets.push(CheckpointMarket {
-                        owner,
-                        eval_key: r.u64()?,
-                        private: r.u8()? != 0,
-                        listings: r.u32()?,
-                        catalog: BundleMask(r.u64()?),
-                        table_digest: r.u64()?,
-                        name: r.str()?,
-                    });
+                    markets.push(read_stamp(&mut r, owner)?);
                 }
                 let clearing = match r.u8()? {
                     0 => None,
@@ -1860,18 +1926,24 @@ fn catalog_of(spec: &MarketSpec) -> BundleMask {
     BundleMask::union_of(spec.listings.iter().map(|l| l.bundle))
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Verifies a re-supplied market (or seller's market) spec against its
+/// recorded registration stamp: name, listing count, catalog, full-table
+/// digest, and evaluation key.
 pub(crate) fn check_market_spec(
-    what: &str,
     spec: &MarketSpec,
-    private: bool,
-    eval_key: u64,
-    listings: u32,
-    catalog: BundleMask,
-    table_digest: u64,
-    name: &str,
+    stamp: &CheckpointMarket,
 ) -> Result<(), RecoverError> {
-    if spec.name != name {
+    let CheckpointMarket {
+        owner,
+        eval_key,
+        private,
+        listings,
+        catalog,
+        table_digest,
+        ref name,
+    } = *stamp;
+    let what = if owner.is_some() { "seller" } else { "market" };
+    if spec.name != *name {
         return Err(RecoverError::SpecMismatch(format!(
             "{what}: journal records name {name:?}, spec supplies {:?}",
             spec.name
@@ -1979,6 +2051,9 @@ impl Exchange {
         let replay_start = exchange.telemetry().map(|t| t.now_ns());
         for event in events {
             match event {
+                // Registrations go through the routine checkpoint restore
+                // uses; genesis then re-records each one (a restore records
+                // only its checkpoint frame).
                 ExchangeEvent::MarketRegistered {
                     market,
                     eval_key,
@@ -1988,31 +2063,17 @@ impl Exchange {
                     table_digest,
                     name,
                 } => {
-                    if spec.markets.is_empty() {
-                        return Err(RecoverError::SpecMismatch(format!(
-                            "journal records market {market} {name:?} but the spec \
-                             supplies no further market"
-                        )));
-                    }
-                    let ms = spec.markets.remove(0);
-                    check_market_spec(
-                        "market",
-                        &ms,
-                        private,
+                    let stamp = CheckpointMarket {
+                        owner: None,
                         eval_key,
+                        private,
                         listings,
                         catalog,
                         table_digest,
-                        &name,
-                    )?;
-                    let id = exchange
-                        .register_market(ms)
-                        .map_err(|e| RecoverError::SpecMismatch(format!("market {name:?}: {e}")))?;
-                    if id != market {
-                        return Err(RecoverError::InconsistentJournal(format!(
-                            "market {name:?} replayed as {id}, journal records {market}"
-                        )));
-                    }
+                        name,
+                    };
+                    exchange.replay_registration(market, &stamp, &mut spec, "journal")?;
+                    exchange.record_with(|| ExchangeEvent::registered(market, stamp));
                     report.markets += 1;
                 }
                 ExchangeEvent::SellerRegistered {
@@ -2025,38 +2086,17 @@ impl Exchange {
                     table_digest,
                     name,
                 } => {
-                    if spec.sellers.is_empty() {
-                        return Err(RecoverError::SpecMismatch(format!(
-                            "journal records seller {seller} {name:?} but the spec \
-                             supplies no further seller"
-                        )));
-                    }
-                    let ss = spec.sellers.remove(0);
-                    check_market_spec(
-                        "seller",
-                        &ss.market,
-                        private,
+                    let stamp = CheckpointMarket {
+                        owner: Some(seller),
                         eval_key,
+                        private,
                         listings,
                         catalog,
                         table_digest,
-                        &name,
-                    )?;
-                    let id = exchange
-                        .register_seller(ss)
-                        .map_err(|e| RecoverError::SpecMismatch(format!("seller {name:?}: {e}")))?;
-                    if id != seller {
-                        return Err(RecoverError::InconsistentJournal(format!(
-                            "seller {name:?} replayed as {id}, journal records {seller}"
-                        )));
-                    }
-                    let replayed_market = exchange.seller_market(id).expect("just registered");
-                    if replayed_market != market {
-                        return Err(RecoverError::InconsistentJournal(format!(
-                            "seller {name:?} market replayed as {replayed_market}, \
-                             journal records {market}"
-                        )));
-                    }
+                        name,
+                    };
+                    exchange.replay_registration(market, &stamp, &mut spec, "journal")?;
+                    exchange.record_with(|| ExchangeEvent::registered(market, stamp));
                     report.sellers += 1;
                 }
                 ExchangeEvent::SessionSubmitted {
@@ -2084,27 +2124,13 @@ impl Exchange {
                     capacity,
                     max_rolls,
                 } => {
-                    let Some(cs) = spec.clearing.take() else {
-                        return Err(RecoverError::SpecMismatch(
-                            "journal records a clearing window but the spec supplies \
-                             no clearing spec"
-                                .into(),
-                        ));
-                    };
-                    if cs.epoch_size as u32 != epoch_size
-                        || cs.capacity != capacity
-                        || cs.max_rolls != max_rolls
-                    {
-                        return Err(RecoverError::SpecMismatch(format!(
-                            "clearing window: journal records epoch_size {epoch_size} / \
-                             capacity {capacity} / max_rolls {max_rolls}, spec supplies \
-                             {} / {} / {}",
-                            cs.epoch_size, cs.capacity, cs.max_rolls
-                        )));
-                    }
-                    exchange
-                        .open_clearing(cs)
-                        .map_err(|e| RecoverError::InconsistentJournal(format!("clearing: {e}")))?;
+                    let shape = (epoch_size, capacity, max_rolls);
+                    exchange.replay_clearing(shape, &mut spec, "journal")?;
+                    exchange.record_with(|| ExchangeEvent::ClearingOpened {
+                        epoch_size,
+                        capacity,
+                        max_rolls,
+                    });
                     report.clearing_opened = true;
                 }
                 ExchangeEvent::DemandSubmitted {

@@ -982,6 +982,52 @@ mod tests {
     }
 
     #[test]
+    fn genesis_replay_re_records_registrations_byte_for_byte() {
+        let world = journaled_world();
+        world
+            .exchange
+            .open_clearing(ClearingSpec::uniform())
+            .unwrap();
+        world.exchange.drain(1);
+        let fresh = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let (journal, sink) = Journal::in_memory();
+        let spec = ReplaySpec {
+            clearing: Some(ClearingSpec::uniform()),
+            ..world_spec(&fresh)
+        };
+        Exchange::recover(
+            ExchangeConfig::default(),
+            &world.sink.bytes(),
+            spec,
+            Some(journal),
+        )
+        .unwrap();
+        // The raw frames of every registration and the window opening, in
+        // journal order.
+        let setup_frames = |bytes: &[u8]| -> Vec<Vec<u8>> {
+            let ends = frame_boundaries(bytes);
+            let starts = std::iter::once(0).chain(ends.iter().copied());
+            read_events(bytes)
+                .0
+                .iter()
+                .zip(starts.zip(&ends))
+                .filter(|(event, _)| {
+                    matches!(
+                        event,
+                        ExchangeEvent::MarketRegistered { .. }
+                            | ExchangeEvent::SellerRegistered { .. }
+                            | ExchangeEvent::ClearingOpened { .. }
+                    )
+                })
+                .map(|(_, (start, &end))| bytes[start..end].to_vec())
+                .collect()
+        };
+        let original = setup_frames(&world.sink.bytes());
+        assert_eq!(original.len(), 4, "one market, two sellers, one window");
+        assert_eq!(setup_frames(&sink.bytes()), original);
+    }
+
+    #[test]
     fn crash_hook_seals_the_journal_inside_the_course_critical_section() {
         let world = journaled_world();
         // Observe the FIRST trained course, before its CourseServed record

@@ -50,13 +50,6 @@ pub enum SessionStatus {
     Failed(String),
 }
 
-impl SessionStatus {
-    /// True for `Done` / `Failed` — the session will not change again.
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, SessionStatus::Done(_) | SessionStatus::Failed(_))
-    }
-}
-
 enum Slot {
     Ready(Box<ActiveSession>),
     Running,
